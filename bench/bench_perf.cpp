@@ -68,6 +68,24 @@ void BM_ExtractView(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractView)->Arg(8)->Arg(16)->Arg(32);
 
+// d(j, m) for every node of a mid-run cone, evaluated in place on the
+// state's graph. sample_state ran a noop protocol, so its inferred table is
+// empty, and a copied state starts with a cold knowledge cache: every
+// iteration re-infers every node and rebuilds the f table. The timing
+// includes the state copy.
+void BM_InferActions(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int t = n / 4;
+  const FipState s = sample_state(n, t, t + 2);
+  const POpt p(n, t);
+  for (auto _ : state) {
+    const FipState fresh = s;
+    p.infer_actions(fresh);
+    benchmark::DoNotOptimize(fresh.inferred);
+  }
+}
+BENCHMARK(BM_InferActions)->Arg(8)->Arg(16)->Arg(32);
+
 void BM_CommonTest(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int t = n / 4;

@@ -15,7 +15,23 @@
 // operators f, D, V, d of §A.2.7; the d (inferred action) entries are
 // memoized in the state's ActionTable, each node being inferred exactly once
 // when it first enters the hears-from cone.
+//
+// One evaluator decides every node: the agent's own (self, time) and each
+// inferred (j, m) of its cone. d(j, m) is the rule applied to j's view
+// G_{j,m}, and the evaluator reads that view in place on the owner's graph G
+// instead of extracting it. The tests read four things of G_{j,m}: cone(j,
+// m), the present senders of (j, m), the preferences at the cone's roots,
+// and f rows. The first three are rows of cone nodes, which the view copies
+// from G verbatim. For f, every self-loop is present, so k's nodes in
+// cone(j, m) are (k, 0..lh(k)); the f recurrence therefore agrees with G's
+// up to lh(k) and is flat above it: f(k, m', G_{j,m}) = f(k, min(m', lh(k)),
+// G), empty if k was never heard (graph/knowledge.hpp: view_row). Passing m
+// explicitly instead of reading g.time() completes the identity, so the
+// state's one f table serves every node. extract_view survives only as the
+// test oracle for this identity.
 #pragma once
+
+#include <span>
 
 #include "core/types.hpp"
 #include "exchange/fip.hpp"
@@ -42,10 +58,11 @@ class POpt {
 
   [[nodiscard]] Action operator()(const FipState& s) const;
 
-  // The individual graph tests, exposed for unit tests and for the
-  // model-checker cross-validation of Thm A.21. `known` is an inferred
-  // action table valid for every node reachable in `g`; lookups are gated by
-  // reachability in `g` internally.
+  // The individual graph tests at the graph owner's node (self, g.time()),
+  // exposed for unit tests and for the model-checker cross-validation of
+  // Thm A.21. `known` is an inferred action table valid for every node
+  // reachable in `g`; lookups are gated by reachability in `g` internally.
+  // Each is a thin wrapper over the in-place test the evaluator uses.
 
   /// common_v: K_i(C_N(t-faulty ∧ no-decided_N(1-v) ∧ ∃v)) at time g.time().
   /// The cache-less overload builds a throwaway KnowledgeCache; the cached
@@ -61,6 +78,10 @@ class POpt {
   /// cond_0: init=0 at time 0, or a delivered message from an agent that
   /// just decided 0.
   [[nodiscard]] static bool cond0_test(const CommGraph& g, AgentId self,
+                                       Value init, const ActionTable& known);
+  /// cond_0 at node (j, m) of g, m <= g.time(): reads only the present
+  /// senders of (j, m), so it holds on G_{j,m} iff it holds here.
+  [[nodiscard]] static bool cond0_test(const CommGraph& g, AgentId j, int m,
                                        Value init, const ActionTable& known);
 
   /// cond_1: the Hall-type counting test of Prop A.7 — true iff no hidden
@@ -85,11 +106,15 @@ class POpt {
   [[nodiscard]] int t() const { return t_; }
 
  private:
-  [[nodiscard]] static Action decide_rule(const CommGraph& g, AgentId self,
-                                          Value init, bool decided, int t,
-                                          const ActionTable& known,
-                                          bool use_common,
-                                          KnowledgeCache& cache);
+  /// The decision rule at node (j, m) of g, evaluated in place: `cone` is
+  /// cone(j, m) in g and `faults` g's whole f table (may be empty when
+  /// `use_common` is false — only the common tests read it).
+  [[nodiscard]] static Action decide(const CommGraph& g, AgentId j, int m,
+                                     const Cone& cone,
+                                     std::span<const AgentSet> faults,
+                                     Value init, bool decided, int t,
+                                     const ActionTable& known,
+                                     bool use_common);
 
   int n_;
   int t_;

@@ -1,7 +1,5 @@
 #include "action/p_opt_go.hpp"
 
-#include <vector>
-
 #include "action/p_opt.hpp"
 #include "graph/knowledge.hpp"
 
@@ -34,10 +32,18 @@ bool any_fault_set(int n, int t, const Fn& fn) {
   return rec(rec, 0, t);
 }
 
-}  // namespace
+/// Entry k of G_{j,m}'s evidence row m2, read in place from g's whole
+/// evidence table (cone = cone(j, m) in g; see view_row).
+const OmissionEvidence& evidence_at(std::span<const OmissionEvidence> evidence,
+                                    int n, const Cone& cone, AgentId k,
+                                    int m2) {
+  return evidence[static_cast<std::size_t>(view_row(cone, k, m2)) *
+                      static_cast<std::size_t>(n) +
+                  static_cast<std::size_t>(k)];
+}
 
 // ---------------------------------------------------------------------------
-// go_cond1_test — K_i "no agent can be deciding 0 in round m+1" over GO(t).
+// go_cond1_at — K_i "no agent can be deciding 0 in round m+1" over GO(t).
 //
 // An agent could be deciding 0 in round m+1 of some consistent world iff a
 // chain of fresh 0-decisions runs from an origin (an init-0 agent, or the
@@ -74,96 +80,69 @@ bool any_fault_set(int n, int t, const Fn& fn) {
 // Matching positions to occupants is a Hall-type problem with pools nested
 // increasing in m2, so per (S, window) a prefix count decides feasibility.
 // ---------------------------------------------------------------------------
-bool POptGo::go_cond1_test(const CommGraph& g, AgentId self, int t,
-                           const ActionTable& known, KnowledgeCache& cache) {
-  const int m = g.time();
+bool go_cond1_at(int n, AgentId j, int m, const Cone& cone,
+                 std::span<const OmissionEvidence> evidence, int t,
+                 const ActionTable& known) {
   if (m == 0) return false;
-  const int n = g.n();
-  const Cone& cone = cache.cone(g, self, m);
 
   // Known 0-deciders per position, the longest known position, and the
   // agents with any known decision (never chain occupants).
-  std::vector<AgentSet> zero_at(static_cast<std::size_t>(m));
+  const auto zero_at = [&](int m2) {
+    return cone.at(m2).intersected(known.deciders0(m2));
+  };
   int len = -1;
-  for (int m2 = 0; m2 < m; ++m2) {
-    zero_at[static_cast<std::size_t>(m2)] =
-        cone.at(m2).intersected(known.deciders0(m2));
-    if (!zero_at[static_cast<std::size_t>(m2)].empty()) len = m2;
-  }
+  for (int m2 = 0; m2 < m; ++m2)
+    if (!zero_at(m2).empty()) len = m2;
   AgentSet known_decided;
   for (int m2 = 0; m2 <= m; ++m2)
     known_decided =
         known_decided.united(cone.at(m2).intersected(known.deciders(m2)));
 
-  const OmissionEvidence& ev = cache.go_evidence_row(g, m)[
-      static_cast<std::size_t>(self)];
+  const OmissionEvidence& ev = evidence_at(evidence, n, cone, j, m);
 
   const int first = len + 1;  // chain positions first..m
-  // undecided[j]: may occupy a position; position m2 additionally needs
-  // last_heard(j) < m2.
+  // undecided: may occupy a position; position m2 additionally needs
+  // last_heard < m2, i.e. absence from cone.at(m2) (cone levels are
+  // per-agent prefixes).
   const AgentSet undecided = known_decided.complement(n);
 
-  // Cumulative extender counts, split by membership in S, are recomputed
-  // per S below from these buckets: bucket[k] = undecided agents with
-  // last_heard = k-1.
   const auto chain_feasible = [&](AgentSet s) -> bool {
     if (!covers(ev, s)) return false;
     // q: earliest known 0-decision position outside S.
     int q = -1;
-    for (int m2 = 0; m2 < m && q < 0; ++m2)
-      if (!zero_at[static_cast<std::size_t>(m2)].minus(s).empty()) q = m2;
+    for (int m2 = 0; m2 <= len && q < 0; ++m2)
+      if (!zero_at(m2).minus(s).empty()) q = m2;
 
-    // Per-position counts of available occupants (prefix over last_heard).
-    std::vector<int> s_cnt(static_cast<std::size_t>(m) + 2, 0);
-    std::vector<int> ns_cnt(static_cast<std::size_t>(m) + 2, 0);
-    for (AgentId j : undecided) {
-      auto& cnt = s.contains(j) ? s_cnt : ns_cnt;
-      ++cnt[static_cast<std::size_t>(cone.last_heard(j)) + 1];
-    }
-    for (int m2 = 1; m2 <= m + 1; ++m2) {
-      s_cnt[static_cast<std::size_t>(m2)] +=
-          s_cnt[static_cast<std::size_t>(m2) - 1];
-      ns_cnt[static_cast<std::size_t>(m2)] +=
-          ns_cnt[static_cast<std::size_t>(m2) - 1];
-    }
-    // s_cnt[m2] now = |{o ∈ S, undecided, last_heard < m2}|; same for ns.
-    const auto savail = [&](int m2) {
-      return s_cnt[static_cast<std::size_t>(m2)];
-    };
+    // Available occupants of position m2, split by membership in S.
+    const AgentSet in_s = undecided.intersected(s);
+    const AgentSet out_s = undecided.minus(s);
+    const auto savail = [&](int m2) { return in_s.minus(cone.at(m2)).size(); };
     const auto nsavail = [&](int m2) {
-      return ns_cnt[static_cast<std::size_t>(m2)];
+      return out_s.minus(cone.at(m2)).size();
     };
 
-    // Candidate nonfaulty-cascade windows: lists of positions held by
-    // occupants outside S.
-    std::vector<std::pair<int, int>> windows;  // [lo, hi] inclusive; lo>hi = none
-    windows.emplace_back(1, 0);                // no window
-    if (q >= 0) {
-      // Forced cascade at q: the only possible non-S occupant is at q+1.
-      if (q + 1 >= first) windows.emplace_back(q + 1, q + 1);
-    } else {
-      for (int p = first; p <= m; ++p) windows.emplace_back(p, p);
-      for (int p = first; p < m; ++p) windows.emplace_back(p, p + 1);
-    }
-
-    for (const auto& [lo, hi] : windows) {
-      if (lo <= hi) {
-        // Need hi-lo+1 distinct non-S occupants, nested pools.
-        bool ok = true;
-        for (int p = lo; p <= hi; ++p)
-          if (nsavail(p) < p - lo + 1) ok = false;
-        if (!ok) continue;
-      }
+    // Can positions first..m be filled when [lo, hi] (lo > hi: none) is the
+    // nonfaulty-cascade window held by occupants outside S?
+    const auto fits = [&](int lo, int hi) {
+      // hi-lo+1 distinct non-S occupants, nested pools.
+      for (int p = lo; p <= hi; ++p)
+        if (nsavail(p) < p - lo + 1) return false;
       // Remaining positions take distinct S occupants (Hall prefix check).
-      bool ok = true;
       int needed = 0;
-      for (int m2 = first; m2 <= m && ok; ++m2) {
+      for (int m2 = first; m2 <= m; ++m2) {
         if (m2 >= lo && m2 <= hi) continue;
-        ++needed;
-        if (savail(m2) < needed) ok = false;
+        if (savail(m2) < ++needed) return false;
       }
-      if (ok) return true;
-    }
+      return true;
+    };
+
+    if (fits(1, 0)) return true;  // no window
+    // Forced cascade at q: the only possible non-S occupant is at q+1.
+    if (q >= 0) return q + 1 >= first && fits(q + 1, q + 1);
+    for (int p = first; p <= m; ++p)
+      if (fits(p, p)) return true;
+    for (int p = first; p < m; ++p)
+      if (fits(p, p + 1)) return true;
     return false;
   };
 
@@ -172,7 +151,7 @@ bool POptGo::go_cond1_test(const CommGraph& g, AgentId self, int t,
 }
 
 // ---------------------------------------------------------------------------
-// go_common_test — the GO evaluation of K_i(C_N(t-faulty ∧ no-decided_N(1-v)
+// go_common_at — the GO evaluation of K_i(C_N(t-faulty ∧ no-decided_N(1-v)
 // ∧ ∃v)), mirroring POpt::common_test with clause-based fault attribution.
 //
 // (a) Budget exhaustion: the pooled missing-edge evidence the observer
@@ -187,25 +166,24 @@ bool POptGo::go_cond1_test(const CommGraph& g, AgentId self, int t,
 // (b) No possibly-nonfaulty agent may be known to have decided 1-v.
 // (c) Some agent outside the forced fault set must have known ∃v at m-1.
 // ---------------------------------------------------------------------------
-bool POptGo::go_common_test(const CommGraph& g, AgentId self, Value v, int t,
-                            const ActionTable& known, KnowledgeCache& cache) {
-  const int m = g.time();
+bool go_common_at(const CommGraph& g, AgentId j, int m, const Cone& cone,
+                  std::span<const OmissionEvidence> evidence, Value v, int t,
+                  const ActionTable& known) {
   if (m < 1) return false;
+  const int n = g.n();
 
-  const AgentSet f_self = go_known_faults(
-      cache.go_evidence_row(g, m)[static_cast<std::size_t>(self)], t);
-  const AgentSet candidates = f_self.complement(g.n());
+  const AgentSet f_self =
+      go_known_faults(evidence_at(evidence, n, cone, j, m), t);
+  const AgentSet candidates = f_self.complement(n);
 
-  const auto ev_prev = cache.go_evidence_row(g, m - 1);
-  OmissionEvidence pooled(g.n());
-  for (AgentId j : candidates)
-    pooled.unite(ev_prev[static_cast<std::size_t>(j)]);
+  OmissionEvidence pooled(n);
+  for (AgentId k : candidates)
+    pooled.unite(evidence_at(evidence, n, cone, k, m - 1));
   const AgentSet dist = go_known_faults(pooled, t);
   if (dist.size() != t) return false;
 
   // (b) as in the SO test: one cone-level ∩ decider-mask ∩ candidates
-  // intersection per round covers every (j, m2) probe.
-  const Cone& cone = cache.cone(g, self, m);
+  // intersection per round covers every (k, m2) probe.
   const Value other = opposite(v);
   for (int m2 = 0; m2 < m; ++m2) {
     const AgentSet bad = other == Value::zero ? known.deciders0(m2)
@@ -215,15 +193,13 @@ bool POptGo::go_common_test(const CommGraph& g, AgentId self, Value v, int t,
   }
 
   // (c) some agent believed nonfaulty must have known ∃v at time m-1.
-  for (AgentId j : dist.complement(g.n())) {
-    for (Value known_value : known_values(g, j, m - 1, cone))
-      if (known_value == v) return true;
-  }
+  for (AgentId k : dist.complement(n))
+    if (knows_value(g, k, m - 1, cone, v)) return true;
   return false;
 }
 
 // ---------------------------------------------------------------------------
-// go_cond0_test — the GO evaluation of init=0 ∨ K_i(∨_j jdecided_j = 0).
+// go_cond0_at — the GO evaluation of init=0 ∨ K_i(∨_j jdecided_j = 0).
 //
 // The direct clause is the SO one: a delivered round-m message from a
 // sender whose round-m action is an inferred decide(0). GO adds an indirect
@@ -240,65 +216,94 @@ bool POptGo::go_common_test(const CommGraph& g, AgentId self, Value v, int t,
 // never show a provably-nonfaulty agent still undecided two rounds after
 // one (the cascade would already have reached it visibly).
 // ---------------------------------------------------------------------------
-bool POptGo::go_cond0_test(const CommGraph& g, AgentId self, Value init,
-                           int t, const ActionTable& known,
-                           KnowledgeCache& cache) {
-  if (POpt::cond0_test(g, self, init, known)) return true;
-  const int m = g.time();
+bool go_cond0_at(const CommGraph& g, AgentId j, int m, const Cone& cone,
+                 std::span<const OmissionEvidence> evidence, Value init, int t,
+                 const ActionTable& known) {
+  if (POpt::cond0_test(g, j, m, init, known)) return true;
   if (m < 2) return false;
 
-  const OmissionEvidence& ev = cache.go_evidence_row(g, m)[
-      static_cast<std::size_t>(self)];
+  const OmissionEvidence& ev = evidence_at(evidence, g.n(), cone, j, m);
   const AgentSet known_nonfaulty =
       go_possibly_faulty(ev, t).complement(g.n());
   if (known_nonfaulty.empty()) return false;
 
-  const Cone& cone = cache.cone(g, self, m);
   if (cone.at(m - 2)
           .intersected(known.deciders0(m - 2))
           .intersected(known_nonfaulty)
           .empty())
     return false;
   for (AgentId z : known_nonfaulty) {
-    if (z == self) continue;
+    if (z == j) continue;
     if (cone.last_heard(z) >= m - 2 && !known.decided_by(z, m - 2))
       return true;
   }
   return false;
 }
 
-Action POptGo::decide_rule(const CommGraph& g, AgentId self, Value init,
-                           bool decided, int t, const ActionTable& known,
-                           bool use_common, KnowledgeCache& cache) {
+}  // namespace
+
+bool POptGo::go_common_test(const CommGraph& g, AgentId self, Value v, int t,
+                            const ActionTable& known, KnowledgeCache& cache) {
+  const int m = g.time();
+  if (m < 1) return false;
+  const auto evidence = cache.go_evidence_table(g);
+  return go_common_at(g, self, m, cache.cone(g, self, m), evidence, v, t,
+                      known);
+}
+
+bool POptGo::go_cond0_test(const CommGraph& g, AgentId self, Value init,
+                           int t, const ActionTable& known,
+                           KnowledgeCache& cache) {
+  const int m = g.time();
+  const auto evidence = cache.go_evidence_table(g);
+  return go_cond0_at(g, self, m, cache.cone(g, self, m), evidence, init, t,
+                     known);
+}
+
+bool POptGo::go_cond1_test(const CommGraph& g, AgentId self, int t,
+                           const ActionTable& known, KnowledgeCache& cache) {
+  const int m = g.time();
+  if (m == 0) return false;
+  const auto evidence = cache.go_evidence_table(g);
+  return go_cond1_at(g.n(), self, m, cache.cone(g, self, m), evidence, t,
+                     known);
+}
+
+Action POptGo::decide(const CommGraph& g, AgentId j, int m, const Cone& cone,
+                      std::span<const OmissionEvidence> evidence, Value init,
+                      bool decided, int t, const ActionTable& known,
+                      bool use_common) {
   if (decided) return Action::noop();
   if (use_common) {
-    if (go_common_test(g, self, Value::zero, t, known, cache))
+    if (go_common_at(g, j, m, cone, evidence, Value::zero, t, known))
       return Action::decide(Value::zero);
-    if (go_common_test(g, self, Value::one, t, known, cache))
+    if (go_common_at(g, j, m, cone, evidence, Value::one, t, known))
       return Action::decide(Value::one);
   }
-  if (go_cond0_test(g, self, init, t, known, cache))
+  if (go_cond0_at(g, j, m, cone, evidence, init, t, known))
     return Action::decide(Value::zero);
-  if (go_cond1_test(g, self, t, known, cache)) return Action::decide(Value::one);
+  if (go_cond1_at(g.n(), j, m, cone, evidence, t, known))
+    return Action::decide(Value::one);
   return Action::noop();
 }
 
 void POptGo::infer_actions(const FipState& s) const {
   s.inferred.ensure(n_, s.time);
+  const auto evidence = s.knowledge.go_evidence_table(s.graph);
   const Cone& cone = s.knowledge.cone(s.graph, s.self, s.time);
+  Cone node_cone;  // one buffer reused for every inferred node
   for (int m = 0; m <= s.time; ++m) {
     for (AgentId j : cone.at(m)) {
       if (j == s.self && m == s.time) continue;  // the action being computed
       if (s.inferred.get(j, m) != KnownAction::unknown) continue;
-      const CommGraph view = extract_view(s.graph, j, m);
-      EBA_REQUIRE(view.pref(j) != PrefLabel::unknown,
+      node_cone.assign(s.graph, j, m);
+      EBA_REQUIRE(s.graph.pref(j) != PrefLabel::unknown,
                   "reachable node with unknown own preference");
       const Value init_j =
-          view.pref(j) == PrefLabel::zero ? Value::zero : Value::one;
+          s.graph.pref(j) == PrefLabel::zero ? Value::zero : Value::one;
       const bool decided_before = s.inferred.decided_by(j, m - 1);
-      KnowledgeCache view_cache;
-      const Action a = decide_rule(view, j, init_j, decided_before, t_,
-                                   s.inferred, use_common_, view_cache);
+      const Action a = decide(s.graph, j, m, node_cone, evidence, init_j,
+                              decided_before, t_, s.inferred, use_common_);
       s.inferred.set(j, m, to_known(a));
     }
   }
@@ -307,8 +312,10 @@ void POptGo::infer_actions(const FipState& s) const {
 Action POptGo::operator()(const FipState& s) const {
   EBA_REQUIRE(s.graph.n() == n_, "state from a different system");
   infer_actions(s);
-  return decide_rule(s.graph, s.self, s.init, s.decided.has_value(), t_,
-                     s.inferred, use_common_, s.knowledge);
+  const auto evidence = s.knowledge.go_evidence_table(s.graph);
+  return decide(s.graph, s.self, s.time,
+                s.knowledge.cone(s.graph, s.self, s.time), evidence, s.init,
+                s.decided.has_value(), t_, s.inferred, use_common_);
 }
 
 int POptGo::evidence_ambiguity(const FipState& s, int t) {

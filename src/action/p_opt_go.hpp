@@ -35,11 +35,21 @@
 //   if go_cond_1 (K_i "no agent can be deciding 0" in GO(t))      -> decide(1)
 //   otherwise                                    -> noop
 //
+// As in P_opt, one evaluator decides the agent's own node and every
+// inferred node (j, m) of its cone, reading G_{j,m} in place on the owner's
+// graph G. The GO evidence recurrence has the same shape as f, so the
+// identity of p_opt.hpp carries over row for row: the evidence of k in
+// G_{j,m} at time m' is G's at min(m', lh(k)), empty if k was never heard
+// (graph/knowledge.hpp: view_row). The state's one evidence table serves
+// every node; extract_view is only the test oracle.
+//
 // tests/test_go.cpp verifies against the semantic machinery that P_opt_go
 // implements P1 in γ_go on exhaustively enumerated small contexts, that the
 // synthesizer-derived decisions match, and that the EBA spec holds over all
 // canonical GO orbits at n = 4 (t = 1, 2).
 #pragma once
+
+#include <span>
 
 #include "core/types.hpp"
 #include "exchange/fip.hpp"
@@ -65,8 +75,10 @@ class POptGo {
 
   [[nodiscard]] Action operator()(const FipState& s) const;
 
-  // The individual graph tests, exposed for unit tests and for the
-  // model-checker cross-validation against P1 in γ_go.
+  // The individual graph tests at the graph owner's node (self, g.time()),
+  // exposed for unit tests and for the model-checker cross-validation
+  // against P1 in γ_go. Each is a thin wrapper over the in-place test the
+  // evaluator uses.
 
   /// go_common_v: K_i(C_N(t-faulty ∧ no-decided_N(1-v) ∧ ∃v)) at time
   /// g.time(), evaluated with GO fault attribution.
@@ -107,11 +119,12 @@ class POptGo {
   [[nodiscard]] int t() const { return t_; }
 
  private:
-  [[nodiscard]] static Action decide_rule(const CommGraph& g, AgentId self,
-                                          Value init, bool decided, int t,
-                                          const ActionTable& known,
-                                          bool use_common,
-                                          KnowledgeCache& cache);
+  /// The decision rule at node (j, m) of g, evaluated in place: `cone` is
+  /// cone(j, m) in g and `evidence` g's whole GO evidence table.
+  [[nodiscard]] static Action decide(
+      const CommGraph& g, AgentId j, int m, const Cone& cone,
+      std::span<const OmissionEvidence> evidence, Value init, bool decided,
+      int t, const ActionTable& known, bool use_common);
 
   int n_;
   int t_;

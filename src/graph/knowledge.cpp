@@ -117,10 +117,11 @@ std::vector<std::vector<OmissionEvidence>> go_evidence_table(
   return e;
 }
 
-Cone::Cone(const CommGraph& g, AgentId target, int m_top)
-    : m_top_(m_top), last_heard_(static_cast<std::size_t>(g.n()), -1) {
+void Cone::assign(const CommGraph& g, AgentId target, int m_top) {
   EBA_REQUIRE(m_top >= 0 && m_top <= g.time(), "cone top out of range");
   EBA_REQUIRE(target >= 0 && target < g.n(), "agent id out of range");
+  m_top_ = m_top;
+  last_heard_.assign(static_cast<std::size_t>(g.n()), -1);
   members_.assign(static_cast<std::size_t>(m_top) + 1, AgentSet{});
   members_[static_cast<std::size_t>(m_top)].insert(target);
   for (int m = m_top; m > 0; --m) {
@@ -145,51 +146,53 @@ void KnowledgeCache::sync(const CommGraph& g) {
   faults_.clear();
   have_go_evidence_ = false;
   go_evidence_.clear();
-  cones_.clear();
+  cone_target_ = -1;
 }
 
-std::span<const AgentSet> KnowledgeCache::fault_row(const CommGraph& g, int m) {
+std::span<const AgentSet> KnowledgeCache::fault_table(const CommGraph& g) {
   sync(g);
-  const std::size_t n = static_cast<std::size_t>(g.n());
   if (!have_faults_) {
     faults_ = fault_rows_flat(g, g.time());
     have_faults_ = true;
   }
-  EBA_REQUIRE(m >= 0 && m <= g.time(), "time out of range");
-  return {faults_.data() + static_cast<std::size_t>(m) * n, n};
+  return faults_;
 }
 
-std::span<const OmissionEvidence> KnowledgeCache::go_evidence_row(
-    const CommGraph& g, int m) {
-  sync(g);
+std::span<const AgentSet> KnowledgeCache::fault_row(const CommGraph& g, int m) {
+  EBA_REQUIRE(m >= 0 && m <= g.time(), "time out of range");
   const std::size_t n = static_cast<std::size_t>(g.n());
+  return fault_table(g).subspan(static_cast<std::size_t>(m) * n, n);
+}
+
+std::span<const OmissionEvidence> KnowledgeCache::go_evidence_table(
+    const CommGraph& g) {
+  sync(g);
   if (!have_go_evidence_) {
     go_evidence_ = go_evidence_rows_flat(g, g.time());
     have_go_evidence_ = true;
   }
+  return go_evidence_;
+}
+
+std::span<const OmissionEvidence> KnowledgeCache::go_evidence_row(
+    const CommGraph& g, int m) {
   EBA_REQUIRE(m >= 0 && m <= g.time(), "time out of range");
-  return {go_evidence_.data() + static_cast<std::size_t>(m) * n, n};
+  const std::size_t n = static_cast<std::size_t>(g.n());
+  return go_evidence_table(g).subspan(static_cast<std::size_t>(m) * n, n);
 }
 
 const Cone& KnowledgeCache::cone(const CommGraph& g, AgentId target, int m_top) {
   sync(g);
-  if (cones_.empty()) {
-    cone_stride_ = g.time() + 1;
-    cones_.resize(static_cast<std::size_t>(g.n()) *
-                  static_cast<std::size_t>(cone_stride_));
+  if (!cone_) cone_ = std::make_unique<Cone>();
+  if (cone_target_ != target || cone_->top() != m_top) {
+    cone_->assign(g, target, m_top);
+    cone_target_ = target;
   }
-  EBA_REQUIRE(target >= 0 && target < g.n(), "agent out of range");
-  EBA_REQUIRE(m_top >= 0 && m_top < cone_stride_, "time out of range");
-  auto& cell = cones_[static_cast<std::size_t>(target) *
-                          static_cast<std::size_t>(cone_stride_) +
-                      static_cast<std::size_t>(m_top)];
-  if (!cell) cell.emplace(g, target, m_top);
-  return *cell;
+  return *cone_;
 }
 
-namespace {
-
-CommGraph extract_view_from_cone(const CommGraph& g, const Cone& cone, int m) {
+CommGraph extract_view(const CommGraph& g, AgentId j, int m) {
+  const Cone cone(g, j, m);
   CommGraph view = CommGraph::blank(g.n(), m);
   const AgentSet full = AgentSet::all(g.n());
   for (int m2 = 1; m2 <= m; ++m2) {
@@ -202,17 +205,6 @@ CommGraph extract_view_from_cone(const CommGraph& g, const Cone& cone, int m) {
   }
   for (AgentId k : cone.at(0)) view.set_pref(k, g.pref(k));
   return view;
-}
-
-}  // namespace
-
-CommGraph extract_view(const CommGraph& g, AgentId j, int m) {
-  return extract_view_from_cone(g, Cone(g, j, m), m);
-}
-
-CommGraph extract_view(const CommGraph& g, AgentId j, int m,
-                       KnowledgeCache& cache) {
-  return extract_view_from_cone(g, cache.cone(g, j, m), m);
 }
 
 AgentSet known_faults(const CommGraph& g, AgentId j, int m) {
@@ -265,6 +257,15 @@ std::vector<Value> known_values(const CommGraph& g, AgentId j, int m,
   if (!zeros.empty()) out.push_back(Value::zero);
   if (!ones.empty()) out.push_back(Value::one);
   return out;
+}
+
+bool knows_value(const CommGraph& g, AgentId j, int m, const Cone& owner_cone,
+                 Value v) {
+  if (!owner_cone.contains(j, m)) return false;
+  const AgentSet holders = v == Value::one
+                               ? g.one_prefs()
+                               : g.known_prefs().minus(g.one_prefs());
+  return !cone_roots(g, j, m).intersected(holders).empty();
 }
 
 }  // namespace eba

@@ -2,12 +2,14 @@
 //
 //   cone         — the hears-from cone of a node (Def. A.1)
 //   extract_view — G_{j,m'}: the graph agent j had at time m', reconstructed
-//                  from the graph of an agent that heard from (j, m')
+//                  from the graph of an agent that heard from (j, m') (the
+//                  test oracle; protocols read views in place, see view_row)
 //   known_faults — f(j, m', G): faulty agents the graph owner knows that j
 //                  knew about at time m' (sending-omissions attribution: an
 //                  absent edge convicts its sender)
 //   distributed_faults — D(S, m', G)
 //   known_values — V(j, m', G): initial values the owner knows j knew
+//                  (knows_value: the allocation-free membership query)
 //   last_heard   — last_{ij}: the last time m' with (j, m') in the cone
 //
 // plus the general-omissions fault machinery: under GO an absent edge
@@ -38,7 +40,8 @@
 // graph actually changes.
 #pragma once
 
-#include <optional>
+#include <algorithm>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -53,9 +56,22 @@ namespace eba {
 /// Built by backward frontier propagation: the frontier at time m'-1 is the
 /// union of the present-sender rows of the frontier members at m', one word
 /// OR per member. last_{ij} is precomputed for all j during construction.
+///
+/// In graphs built by advance_round and merge every self-loop is present,
+/// so each agent's nodes in the cone form a prefix: j ∈ at(m') iff m' <=
+/// last_heard(j).
 class Cone {
  public:
-  Cone(const CommGraph& g, AgentId target, int m_top);
+  /// An empty cone (top() == -1) whose storage assign() can reuse.
+  Cone() = default;
+  Cone(const CommGraph& g, AgentId target, int m_top) {
+    assign(g, target, m_top);
+  }
+
+  /// Rebuilds this cone as the cone of (target, m_top) in g, reusing its
+  /// storage: a loop over many nodes allocates only when a cone outgrows
+  /// every earlier one.
+  void assign(const CommGraph& g, AgentId target, int m_top);
 
   [[nodiscard]] bool contains(AgentId j, int m) const {
     return m >= 0 && m <= m_top_ && members_[static_cast<std::size_t>(m)].contains(j);
@@ -75,7 +91,7 @@ class Cone {
   }
 
  private:
-  int m_top_;
+  int m_top_ = -1;
   std::vector<AgentSet> members_;  ///< by time 0..m_top
   std::vector<int> last_heard_;    ///< by agent, -1 if absent everywhere
 };
@@ -158,11 +174,10 @@ class OmissionEvidence {
     const CommGraph& g);
 
 /// Revision-keyed memo of the derived knowledge of ONE graph: the f table,
-/// the GO evidence table and the cones already requested. Methods take the
-/// graph so the cache can
-/// detect staleness via CommGraph::revision() and rebuild lazily; a cache
-/// must only ever be used with the graph it lives next to (FipState owns one
-/// per agent graph).
+/// the GO evidence table and the last cone requested. Methods take the
+/// graph so the cache can detect staleness via CommGraph::revision() and
+/// rebuild lazily; a cache must only ever be used with the graph it lives
+/// next to (FipState owns one per agent graph).
 ///
 /// Copies start empty: the simulator snapshots agent states every round, and
 /// duplicating memoized cones into history would cost more than recomputing
@@ -177,26 +192,36 @@ class KnowledgeCache {
     faults_.clear();
     have_go_evidence_ = false;
     go_evidence_.clear();
-    cones_.clear();
+    cone_target_ = -1;
     return *this;
   }
   KnowledgeCache(KnowledgeCache&&) = default;
   KnowledgeCache& operator=(KnowledgeCache&&) = default;
 
-  /// Row m of the f table of `g` (entry [j] = f(j, m, g)). The whole table
-  /// is computed at most once per graph revision, flat in one allocation.
+  /// The whole f table of `g`: (g.time()+1) rows of n, row-major, entry
+  /// [m * n + j] = f(j, m, g). Computed at most once per graph revision,
+  /// flat in one allocation.
+  [[nodiscard]] std::span<const AgentSet> fault_table(const CommGraph& g);
+
+  /// Row m of the f table of `g` (entry [j] = f(j, m, g)).
   [[nodiscard]] std::span<const AgentSet> fault_row(const CommGraph& g, int m);
 
+  /// The whole GO evidence table of `g`, laid out like fault_table: entry
+  /// [m * n + j] = go_evidence(g, j, m). Computed at most once per graph
+  /// revision.
+  [[nodiscard]] std::span<const OmissionEvidence> go_evidence_table(
+      const CommGraph& g);
+
   /// Row m of the GO evidence table of `g` (entry [j] = go_evidence(g, j,
-  /// m)). Like fault_row, the whole table is computed at most once per
-  /// graph revision.
+  /// m)).
   [[nodiscard]] std::span<const OmissionEvidence> go_evidence_row(
       const CommGraph& g, int m);
 
-  /// The cone of (target, m_top) in `g`, memoized per (target, m_top) until
-  /// the graph changes. Worth it only for cones consulted repeatedly (the
-  /// P_opt tests all interrogate (self, time)); one-shot cones are cheaper
-  /// built directly.
+  /// The cone of (target, m_top) in `g`, memoized until the graph changes.
+  /// One slot: the P_opt tests only ever interrogate (self, time), so a
+  /// request for another (target, m_top) rebuilds the slot in place and
+  /// invalidates any reference returned earlier. The slot's storage is
+  /// reused across graph revisions.
   [[nodiscard]] const Cone& cone(const CommGraph& g, AgentId target, int m_top);
 
  private:
@@ -213,21 +238,36 @@ class KnowledgeCache {
   std::vector<AgentSet> faults_;  ///< (time+1) rows of n, row-major
   bool have_go_evidence_ = false;
   std::vector<OmissionEvidence> go_evidence_;  ///< (time+1) rows of n
-  /// Flat (target, m_top) memo, lazily sized to n * (time+1) on first cone()
-  /// after a sync: index target * cone_stride_ + m_top. The dense direct
-  /// index replaces a hash lookup that showed up in every cached
-  /// common_test; optional because Cone has no default constructor.
-  std::vector<std::optional<Cone>> cones_;
-  int cone_stride_ = 0;  ///< time+1 at the sizing sync
+  /// The memoized cone, valid per cone_target_. Boxed so that the many
+  /// cache-carrying state copies a run or a synthesis keeps stay small.
+  std::unique_ptr<Cone> cone_;
+  AgentId cone_target_ = -1;  ///< target of *cone_ at this revision, or -1
 };
 
 /// Reconstructs G_{j,m'} from `g`. Precondition: (j, m') is in the cone of
 /// g's owner (i.e. `owner_cone.contains(j, m')`), so every edge into the
 /// extracted cone carries a definite label in `g`.
+///
+/// The action protocols never build views: they evaluate G_{j,m'} in place
+/// on `g` (see view_row). extract_view is the oracle the tests hold that
+/// in-place evaluation against.
 [[nodiscard]] CommGraph extract_view(const CommGraph& g, AgentId j, int m);
-/// As above, but reuses/memoizes the (j, m) cone through `cache`.
-[[nodiscard]] CommGraph extract_view(const CommGraph& g, AgentId j, int m,
-                                     KnowledgeCache& cache);
+
+/// In-place view identity. For (j, m) in the owner's cone, G_{j,m} is g
+/// restricted to cone(j, m): receiver rows of cone nodes are copied, every
+/// other row is blank. Every agent's self-loop is present, so k's nodes in
+/// cone(j, m) are exactly (k, 0..lh(k)) with lh(k) = cone.last_heard(k).
+/// Hence, by induction on m2, the f recurrence (and its GO evidence twin)
+/// agrees on the view and on g up to lh(k) and is flat above it:
+///
+///   f(k, m2, G_{j,m}) = f(k, min(m2, lh(k)), g),   and = ∅ if lh(k) = -1.
+///
+/// Row 0 of either table is always empty, so both cases read row
+/// max(0, min(m2, lh(k))) of g's table — the value returned here, with
+/// `cone` = cone(j, m) in g.
+[[nodiscard]] inline int view_row(const Cone& cone, AgentId k, int m2) {
+  return std::max(0, std::min(m2, cone.last_heard(k)));
+}
 
 /// f(j, m, g): the faulty agents the owner of g knows that j knew about at
 /// time m (paper §7). f(j, 0, g) is empty; for m > 0 it is the union of the
@@ -253,5 +293,10 @@ class KnowledgeCache {
 /// caller supplies the owner's cone to enforce that.
 [[nodiscard]] std::vector<Value> known_values(const CommGraph& g, AgentId j,
                                               int m, const Cone& owner_cone);
+
+/// v ∈ V(j, m, g), without materializing V: one cone_roots walk and a mask
+/// test, no allocation.
+[[nodiscard]] bool knows_value(const CommGraph& g, AgentId j, int m,
+                               const Cone& owner_cone, Value v);
 
 }  // namespace eba

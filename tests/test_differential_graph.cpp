@@ -9,11 +9,18 @@
 // A second part replays P_opt runs and asserts that the incremental
 // cached decision path (persistent FipState knowledge cache + inferred
 // table) matches a from-scratch recomputation at every (agent, time).
+// A third part holds the in-place evaluation of inferred actions d(j, m)
+// by P_opt and P_opt_go against the extract_view oracle: the public graph
+// tests run on the materialized view G_{j,m} with a fresh cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "action/p_opt.hpp"
+#include "action/p_opt_go.hpp"
+#include "failure/canonical.hpp"
 #include "failure/generators.hpp"
 #include "graph/knowledge.hpp"
 #include "reference_graph.hpp"
@@ -197,6 +204,299 @@ TEST(DifferentialGraph, StaticTestsAgreeWithCachedOverloads) {
       EXPECT_EQ(plain1, POpt::cond1_test(s.graph, i, s.inferred, cache));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// In-place view evaluation against the extract_view oracle.
+// ---------------------------------------------------------------------------
+
+/// The decision rule on a materialized view through the public graph tests,
+/// sharing one cache that starts cold per view: the path the protocols took
+/// before they evaluated views in place.
+using ViewOracle = std::function<Action(const CommGraph& view, AgentId j,
+                                        Value init, const ActionTable& known)>;
+
+ViewOracle so_oracle(int t, bool use_common) {
+  return [=](const CommGraph& view, AgentId j, Value init,
+             const ActionTable& known) {
+    KnowledgeCache cache;
+    if (use_common) {
+      if (POpt::common_test(view, j, Value::zero, t, known, cache))
+        return Action::decide(Value::zero);
+      if (POpt::common_test(view, j, Value::one, t, known, cache))
+        return Action::decide(Value::one);
+    }
+    if (POpt::cond0_test(view, j, init, known))
+      return Action::decide(Value::zero);
+    if (POpt::cond1_test(view, j, known, cache))
+      return Action::decide(Value::one);
+    return Action::noop();
+  };
+}
+
+ViewOracle go_oracle(int t, bool use_common) {
+  return [=](const CommGraph& view, AgentId j, Value init,
+             const ActionTable& known) {
+    KnowledgeCache cache;
+    if (use_common) {
+      if (POptGo::go_common_test(view, j, Value::zero, t, known, cache))
+        return Action::decide(Value::zero);
+      if (POptGo::go_common_test(view, j, Value::one, t, known, cache))
+        return Action::decide(Value::one);
+    }
+    if (POptGo::go_cond0_test(view, j, init, t, known, cache))
+      return Action::decide(Value::zero);
+    if (POptGo::go_cond1_test(view, j, t, known, cache))
+      return Action::decide(Value::one);
+    return Action::noop();
+  };
+}
+
+struct OracleTally {
+  std::uint64_t nodes = 0;  ///< (state, node) pairs compared
+  /// Inferred nodes (j, m) where some agent k's unclamped row f(k, m-1, G)
+  /// differs from f(k, m-1, G_{j,m}) — the nodes the min(m', lh(k)) clamp
+  /// decides.
+  std::uint64_t clamped = 0;
+};
+
+/// Recomputes the state's action from cold caches (which infers d(j, m) in
+/// place for every node of its cone) and checks the own action and every
+/// inferred entry against the oracle on extract_view(G, j, m). The oracle
+/// reads earlier entries of the same table, but nodes are checked in time
+/// order, so the first wrong entry fails before any later check uses it.
+template <class Protocol>
+void expect_in_place_matches_views(const Protocol& p, const FipState& state,
+                                   const ViewOracle& oracle,
+                                   OracleTally& tally) {
+  FipState s = state;
+  s.inferred = ActionTable{};
+  s.knowledge = KnowledgeCache{};
+  const Action own = p(s);
+  const CommGraph& g = s.graph;
+  KnowledgeCache owner_cache;
+  const Cone cone(g, s.self, s.time);
+  for (int m = 0; m <= s.time; ++m) {
+    for (AgentId j : cone.at(m)) {
+      const CommGraph view = extract_view(g, j, m);
+      const Value init = view.pref(j) == PrefLabel::zero ? Value::zero
+                                                          : Value::one;
+      const bool own_node = j == s.self && m == s.time;
+      const bool decided = own_node ? s.decided.has_value()
+                                    : s.inferred.decided_by(j, m - 1);
+      const Action expected =
+          decided ? Action::noop() : oracle(view, j, init, s.inferred);
+      ++tally.nodes;
+      if (own_node) {
+        ASSERT_EQ(own, expected) << "own action at time " << m;
+        continue;
+      }
+      ASSERT_EQ(s.inferred.get(j, m), to_known(expected))
+          << "d(" << j << ", " << m << ") of agent " << s.self << " at time "
+          << s.time;
+      if (m < 1) continue;
+      KnowledgeCache view_cache;
+      const auto view_prev = view_cache.fault_row(view, m - 1);
+      const auto g_prev = owner_cache.fault_row(g, m - 1);
+      if (!std::equal(view_prev.begin(), view_prev.end(), g_prev.begin()))
+        ++tally.clamped;
+    }
+  }
+}
+
+/// Runs every (pattern, preference vector) world to `horizon` rounds and
+/// checks every agent state at every time.
+template <class Protocol>
+void check_worlds(const Protocol& p, int t, int horizon,
+                  const std::vector<std::pair<FailurePattern,
+                                              std::vector<Value>>>& worlds,
+                  const ViewOracle& oracle, OracleTally& tally) {
+  const FipExchange x(worlds.front().first.n());
+  SimulateOptions opt;
+  opt.max_rounds = horizon;
+  opt.stop_when_all_decided = false;
+  for (const auto& [alpha, prefs] : worlds) {
+    const auto run = simulate(x, p, alpha, prefs, t, opt);
+    for (const auto& states : run.states)
+      for (const FipState& s : states) {
+        expect_in_place_matches_views(p, s, oracle, tally);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+  }
+}
+
+std::vector<std::pair<FailurePattern, std::vector<Value>>> canonical_worlds(
+    const EnumerationConfig& cfg) {
+  std::vector<std::pair<FailurePattern, std::vector<Value>>> worlds;
+  const auto prefs = all_preference_vectors(cfg.n);
+  enumerate_canonical_adversaries(
+      cfg, [&](const FailurePattern& alpha, std::uint64_t) {
+        for (const auto& v : prefs) worlds.emplace_back(alpha, v);
+        return true;
+      });
+  return worlds;
+}
+
+struct OracleShape {
+  int n;
+  int t;
+  int rounds;  ///< drops confined to the first `rounds` rounds
+  FailureModel model;
+  /// Whether some world of the shape has an inferred node whose view row
+  /// f(k, m-1) differs from G's. That needs a faulty k that knew a fault at
+  /// time m-1 >= 1 yet is last heard in cone(j, m) before m-1: a second
+  /// fault dropping to k in round 1 and k dropping toward j in round 2.
+  bool clamp_live;
+};
+
+class InPlaceViewOracle : public ::testing::TestWithParam<OracleShape> {};
+
+TEST_P(InPlaceViewOracle, InferredActionsMatchExtractedViews) {
+  const auto [n, t, rounds, model, clamp_live] = GetParam();
+  const EnumerationConfig cfg{.n = n, .t = t, .rounds = rounds, .model = model};
+  const auto worlds = canonical_worlds(cfg);
+  // States at time t+1 choose the round-(t+2) actions, the last round in
+  // which a P_opt agent of these contexts can still be undecided.
+  const int horizon = t + 1;
+  for (const bool use_common : {true, false}) {
+    SCOPED_TRACE(use_common ? "common knowledge on" : "common knowledge off");
+    OracleTally tally;
+    if (model == FailureModel::sending) {
+      const POpt p(n, t, use_common ? POpt::CommonKnowledge::enabled
+                                    : POpt::CommonKnowledge::disabled);
+      check_worlds(p, t, horizon, worlds, so_oracle(t, use_common), tally);
+    } else {
+      const POptGo p(n, t, use_common ? POptGo::CommonKnowledge::enabled
+                                      : POptGo::CommonKnowledge::disabled);
+      check_worlds(p, t, horizon, worlds, go_oracle(t, use_common), tally);
+    }
+    EXPECT_GT(tally.nodes, 0u);
+    // Where the shape allows it, the identity's clamp is live: some
+    // inferred node reads a row of G that differs from the same row of its
+    // view.
+    if (clamp_live) {
+      EXPECT_GT(tally.clamped, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Worlds, InPlaceViewOracle,
+    ::testing::Values(OracleShape{4, 1, 2, FailureModel::sending, false},
+                      OracleShape{4, 2, 2, FailureModel::sending, true},
+                      OracleShape{4, 1, 1, FailureModel::general, false}),
+    [](const ::testing::TestParamInfo<OracleShape>& info) {
+      std::string name =
+          info.param.model == FailureModel::sending ? "SO_n" : "GO_n";
+      name += std::to_string(info.param.n);
+      name += "t";
+      name += std::to_string(info.param.t);
+      name += "r";
+      name += std::to_string(info.param.rounds);
+      return name;
+    });
+
+/// The hidden 0-chain of the wire mix: agents 0..t-1 are faulty and agent k
+/// delivers only to k+1, in round k+1.
+FailurePattern hidden_chain(int n, int t, int horizon) {
+  AgentSet faulty;
+  for (AgentId k = 0; k < t; ++k) faulty.insert(k);
+  FailurePattern p(n, faulty.complement(n));
+  for (AgentId k = 0; k < t; ++k)
+    for (int m = 0; m < horizon; ++m)
+      for (AgentId to = 0; to < n; ++to)
+        if (to != k && !(m == k && to == k + 1)) p.drop(m, k, to);
+  return p;
+}
+
+// A seeded sample of the n = 16, t = 4 wire mix: failure-free, sampled
+// sending omissions, silent agents with unanimous preference 1, and the
+// hidden 0-chain with init_0 = 0.
+TEST(InPlaceViewOracleWire, SampledWireMixAtN16) {
+  constexpr int n = 16;
+  constexpr int t = 4;
+  Rng rng(1602);
+  std::vector<std::pair<FailurePattern, std::vector<Value>>> worlds;
+  const std::vector<Value> ones(n, Value::one);
+  std::vector<Value> one_zero = ones;
+  one_zero[0] = Value::zero;
+  worlds.emplace_back(FailurePattern::failure_free(n),
+                      sample_preferences(n, rng));
+  worlds.emplace_back(sample_adversary(n, t, t + 2, 0.3, rng),
+                      sample_preferences(n, rng));
+  AgentSet silent;
+  while (silent.size() < t) silent.insert(static_cast<AgentId>(rng.below(n)));
+  worlds.emplace_back(silent_agents_pattern(n, silent, t + 3), ones);
+  worlds.emplace_back(hidden_chain(n, t, t + 3), one_zero);
+  for (const bool use_common : {true, false}) {
+    SCOPED_TRACE(use_common ? "common knowledge on" : "common knowledge off");
+    const POpt p(n, t, use_common ? POpt::CommonKnowledge::enabled
+                                  : POpt::CommonKnowledge::disabled);
+    OracleTally tally;
+    check_worlds(p, t, t + 3, worlds, so_oracle(t, use_common), tally);
+    EXPECT_GT(tally.nodes, 0u);
+    EXPECT_GT(tally.clamped, 0u);
+  }
+}
+
+/// f and GO evidence rows of every view G_{j,m} of `s` equal the rows of G
+/// that view_row selects, for every agent k and time m' <= m. Returns the
+/// number of (view, k, m') entries where the unclamped row m' of G differs.
+std::uint64_t expect_view_rows_identity(const FipState& s) {
+  std::uint64_t differing = 0;
+  const CommGraph& g = s.graph;
+  const auto n = static_cast<std::size_t>(g.n());
+  KnowledgeCache cache;
+  const auto faults = cache.fault_table(g);
+  const auto evidence = cache.go_evidence_table(g);
+  const Cone owner(g, s.self, s.time);
+  for (int m = 0; m <= s.time; ++m) {
+    for (AgentId j : owner.at(m)) {
+      const CommGraph view = extract_view(g, j, m);
+      const Cone cone(g, j, m);
+      const auto view_faults = known_faults_table(view);
+      const auto view_evidence = go_evidence_table(view);
+      for (int m2 = 0; m2 <= m; ++m2)
+        for (AgentId k = 0; k < g.n(); ++k) {
+          const std::size_t at =
+              static_cast<std::size_t>(view_row(cone, k, m2)) * n +
+              static_cast<std::size_t>(k);
+          const auto mm = static_cast<std::size_t>(m2);
+          const auto kk = static_cast<std::size_t>(k);
+          EXPECT_EQ(view_faults[mm][kk], faults[at])
+              << "f(" << k << ", " << m2 << ") in view (" << j << ", " << m
+              << ")";
+          EXPECT_EQ(view_evidence[mm][kk], evidence[at])
+              << "evidence(" << k << ", " << m2 << ") in view (" << j << ", "
+              << m << ")";
+          if (view_faults[mm][kk] != faults[mm * n + kk]) ++differing;
+        }
+    }
+  }
+  return differing;
+}
+
+TEST(InPlaceViewIdentity, ViewRowsAreClampedOwnerRows) {
+  Rng rng(90210);
+  std::uint64_t differing = 0;
+  for (int trial = 0; trial < 10; ++trial) {
+    const int n = 4 + static_cast<int>(rng.below(5));  // 4..8
+    const int t = 1 + static_cast<int>(rng.below(2));
+    const bool go = trial % 2 == 1;
+    const auto alpha = go ? sample_go_adversary(n, t, t + 2, 0.35, 0.35, rng)
+                          : sample_adversary(n, t, t + 2, 0.35, rng);
+    const auto prefs = sample_preferences(n, rng);
+    SimulateOptions opt;
+    opt.max_rounds = t + 3;
+    opt.stop_when_all_decided = false;
+    const auto run = go ? simulate(FipExchange(n), POptGo(n, t), alpha, prefs,
+                                   t, opt)
+                        : simulate(FipExchange(n), POpt(n, t), alpha, prefs,
+                                   t, opt);
+    for (const FipState& s : run.states.back())
+      differing += expect_view_rows_identity(s);
+  }
+  EXPECT_GT(differing, 0u) << "no sampled view exercises the clamp";
 }
 
 }  // namespace

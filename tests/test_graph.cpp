@@ -2,6 +2,8 @@
 // f, D, V, cone, extract_view (paper §A.2.7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exchange/fip.hpp"
 #include "failure/generators.hpp"
 #include "graph/knowledge.hpp"
@@ -187,6 +189,15 @@ TEST(KnownValuesTest, TracksWhoKnewWhichInitsWhen) {
             (std::vector<Value>{Value::zero, Value::one}));
   // Unreachable nodes yield the empty set.
   EXPECT_TRUE(known_values(g, 2, 2, cone).empty());
+  // The allocation-free membership query agrees with V everywhere.
+  for (int m = 0; m <= 2; ++m)
+    for (AgentId j = 0; j < g.n(); ++j)
+      for (Value v : {Value::zero, Value::one}) {
+        const auto vs = known_values(g, j, m, cone);
+        EXPECT_EQ(knows_value(g, j, m, cone, v),
+                  std::find(vs.begin(), vs.end(), v) != vs.end())
+            << "j=" << j << " m=" << m;
+      }
 }
 
 }  // namespace
