@@ -8,7 +8,9 @@
 // protocol's convenience, but equality and hashing ignore both.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -33,10 +35,12 @@ struct FipState {
   /// equality). Mutable so the action protocol, a pure function of the
   /// state, can memoize.
   mutable ActionTable inferred;
-  /// Memoized cones and fault table of `graph`, keyed on graph.revision():
-  /// FipExchange::update mutates the graph (advance_round + merges), which
-  /// bumps the revision and lazily invalidates this. Excluded from equality;
-  /// mutable for the same reason as `inferred`.
+  /// Memoized cones and fault table of `graph`, keyed on its address and
+  /// graph.revision(): FipExchange::update and update_round mutate the graph
+  /// (merges or a union copy, then advance_round), which moves the revision
+  /// strictly past every revision this graph carried before and lazily
+  /// invalidates this. Excluded from equality; mutable for the same reason
+  /// as `inferred`.
   mutable KnowledgeCache knowledge;
 
   friend bool operator==(const FipState& a, const FipState& b) {
@@ -60,12 +64,19 @@ class FipExchange {
   using Message = std::shared_ptr<const CommGraph>;
   /// µ ignores the destination: the graph is broadcast to everyone.
   static constexpr bool kBroadcast = true;
-  /// Borrowed-round pipeline (see sim/stepper.hpp): the round moves bare
-  /// graphs instead of shared_ptr messages.
+  /// Borrowed-round δ (see sim/stepper.hpp): the engine hands update_round()
+  /// bare graphs instead of shared_ptr messages.
   using Snapshot = CommGraph;
 
   explicit FipExchange(int n) : n_(n) {
     EBA_REQUIRE(n >= 1 && n <= kMaxAgents, "agent count out of range");
+  }
+  /// Copies carry the agent count; the merge counter starts at zero.
+  FipExchange(const FipExchange& other) : n_(other.n_) {}
+  FipExchange& operator=(const FipExchange& other) {
+    n_ = other.n_;
+    merges_.store(0);
+    return *this;
   }
 
   [[nodiscard]] int n() const { return n_; }
@@ -96,17 +107,25 @@ class FipExchange {
   void update(State& s, const Action& a,
               std::span<const std::optional<Message>> inbox) const;
 
-  // -- Borrowed-round fast path (sim/stepper.hpp) ---------------------------
-  // E_fip broadcasts its graph every round, so the engine can move the
-  // graph out as the round's message and rebuild δ from borrowed graphs,
-  // avoiding the per-round shared_ptr + deep-copy churn of message().
-  // apply_round() must stay observably identical to update() on the
-  // equivalent inbox; tests/test_workload.cpp checks state equality.
+  // -- Borrowed-round δ (sim/stepper.hpp) ----------------------------------
+  // E_fip broadcasts its graph every round, and δ is the union of the
+  // received graphs plus the receiver's own new row. Every receiver that
+  // heard the same sender set R computes the same union, so the engine hands
+  // the whole round to update_round(), which builds U_R = ∪_{i ∈ R} G_i once
+  // per distinct R. update_round() must stay observably identical to
+  // update() on the equivalent inboxes; tests/test_workload.cpp checks every
+  // agent's state after every round against the per-receiver reference.
 
-  /// Moves the state's graph out as its round snapshot; the state's graph
-  /// is hollow until apply_round() restores it.
-  [[nodiscard]] Snapshot take_snapshot(State& s) const {
-    return std::move(s.graph);
+  /// The broadcast-relevant part of a state, borrowed: µ(s, a, dest) is a
+  /// copy of exactly this graph.
+  [[nodiscard]] const Snapshot& snapshot(const State& s) const {
+    return s.graph;
+  }
+
+  /// The graph a received message carries (the wire path decodes one
+  /// message per sender and borrows its graph for every receiver).
+  [[nodiscard]] const Snapshot& message_snapshot(const Message& m) const {
+    return *m;
   }
 
   /// Prop 8.1 accounting; equals message_bits() on the copied message.
@@ -114,16 +133,28 @@ class FipExchange {
     return g.bit_size();
   }
 
-  /// δ from borrowed snapshots: `own` is the agent's pre-round graph
-  /// (moved back or copied by the engine), `received` the senders whose
-  /// round message arrived (self included), `merged` the delivered other
-  /// senders' snapshots in ascending sender order.
-  void apply_round(State& s, const Action& a, Snapshot&& own,
-                   AgentSet received,
-                   std::span<const Snapshot* const> merged) const;
+  /// δ for one whole round. `graphs[i]` is sender i's round graph;
+  /// `received[j]` the senders whose round message reached j, j itself
+  /// included. Receivers are grouped by received set R: U_R is built once
+  /// (|R| - 1 merges, with merge()'s conflict checks), then every j with
+  /// received set R copies U_R into its own graph storage and adds its own
+  /// round row. All unions are built before any state is written, so
+  /// `graphs[i]` may point at agent i's own state graph; it must not point
+  /// into any other agent's state.
+  void update_round(std::span<State> states, std::span<const Action> actions,
+                    std::span<const Snapshot* const> graphs,
+                    std::span<const AgentSet> received) const;
+
+  /// CommGraph::merge calls made by update_round() through this exchange
+  /// object so far, summed over every thread using it. An exact work count:
+  /// a round costs Σ_R (|R| - 1) merges over its distinct received sets R.
+  [[nodiscard]] std::uint64_t graph_merges() const {
+    return merges_.load();
+  }
 
  private:
   int n_;
+  mutable std::atomic<std::uint64_t> merges_{0};
 };
 
 }  // namespace eba

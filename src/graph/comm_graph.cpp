@@ -1,5 +1,7 @@
 #include "graph/comm_graph.hpp"
 
+#include <algorithm>
+
 namespace eba {
 namespace {
 
@@ -68,6 +70,21 @@ void CommGraph::merge(const CommGraph& other) {
   pref_known_ |= other.pref_known_;
   pref_value_ |= other.pref_value_;
   ++revision_;
+}
+
+void CommGraph::assign(const CommGraph& other) {
+  const std::uint64_t revision = std::max(revision_, other.revision_) + 1;
+  if (&other == this) {
+    revision_ = revision;
+    return;
+  }
+  n_ = other.n_;
+  time_ = other.time_;
+  pref_known_ = other.pref_known_;
+  pref_value_ = other.pref_value_;
+  known_.assign(other.known_.begin(), other.known_.end());
+  value_.assign(other.value_.begin(), other.value_.end());
+  revision_ = revision;
 }
 
 CommGraph CommGraph::relabeled(const std::vector<AgentId>& perm) const {

@@ -142,6 +142,14 @@ class CommGraph {
   /// protocol bug and throw.
   void merge(const CommGraph& other);
 
+  /// Overwrites this graph with `other`'s labels and preferences, reusing
+  /// this object's row storage. Unlike copy-assignment, the revision moves
+  /// strictly past both graphs' revisions: a KnowledgeCache keyed on this
+  /// object's address must never see a revision it already memoized for
+  /// different contents (the E_fip round δ copies one union into many
+  /// agents' graphs; exchange/fip.hpp).
+  void assign(const CommGraph& other);
+
   /// Uninformative graph of the given shape, used by view extraction.
   static CommGraph blank(int n, int time);
 

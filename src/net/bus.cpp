@@ -37,8 +37,8 @@ std::size_t BusPool::in_use() const {
   return slots_.size() - free_.size();
 }
 
-BusPool::RoundResult BusPool::exchange_round(
-    SlotId id, std::vector<std::optional<Bytes>> outbox) {
+BusPool::BroadcastRound BusPool::filter_round(
+    SlotId id, std::span<const std::optional<Bytes>> outbox) {
   // No lock: a slot is driven by exactly one worker at a time (the pool
   // mutex in acquire/release orders successive owners), and this touches
   // only per-slot state.
@@ -49,22 +49,18 @@ BusPool::RoundResult BusPool::exchange_round(
   const int n = alpha.n();
   EBA_REQUIRE(static_cast<int>(outbox.size()) == n, "outbox size mismatch");
 
-  RoundResult res;
+  BroadcastRound res;
   res.round = slot.round;
-  res.inbox.assign(
-      static_cast<std::size_t>(n),
-      std::vector<std::optional<Bytes>>(static_cast<std::size_t>(n)));
+  res.received.assign(static_cast<std::size_t>(n), AgentSet{});
   res.sent.assign(static_cast<std::size_t>(n), AgentSet{});
   res.delivered.assign(static_cast<std::size_t>(n), AgentSet{});
   for (AgentId from = 0; from < n; ++from) {
-    const auto& payload = outbox[static_cast<std::size_t>(from)];
-    if (!payload) continue;
+    if (!outbox[static_cast<std::size_t>(from)]) continue;
     res.sent[static_cast<std::size_t>(from)] =
         AgentSet::all(n).minus(AgentSet{from});
     for (AgentId to = 0; to < n; ++to) {
       if (!alpha.delivered(slot.round, from, to)) continue;
-      res.inbox[static_cast<std::size_t>(to)][static_cast<std::size_t>(from)] =
-          *payload;
+      res.received[static_cast<std::size_t>(to)].insert(from);
       if (to != from) res.delivered[static_cast<std::size_t>(from)].insert(to);
     }
   }
@@ -73,9 +69,25 @@ BusPool::RoundResult BusPool::exchange_round(
 }
 
 BusPool::RoundResult BusPool::exchange_round(
+    SlotId id, std::vector<std::optional<Bytes>> outbox) {
+  BroadcastRound filtered = filter_round(id, outbox);
+  const std::size_t n = outbox.size();
+  RoundResult res;
+  res.round = filtered.round;
+  res.inbox.assign(n, std::vector<std::optional<Bytes>>(n));
+  for (std::size_t to = 0; to < n; ++to)
+    for (AgentId from : filtered.received[to])
+      res.inbox[to][static_cast<std::size_t>(from)] =
+          outbox[static_cast<std::size_t>(from)];
+  res.sent = std::move(filtered.sent);
+  res.delivered = std::move(filtered.delivered);
+  return res;
+}
+
+BusPool::RoundResult BusPool::exchange_round(
     SlotId id, std::vector<std::vector<std::optional<Bytes>>> outbox) {
-  // Same threading contract as the broadcast overload: no lock, one worker
-  // per slot at a time.
+  // Same threading contract as filter_round: no lock, one worker per slot at
+  // a time.
   EBA_REQUIRE(id < slots_.size() && slots_[id].busy,
               "exchange_round on a slot that is not in use");
   Slot& slot = slots_[id];

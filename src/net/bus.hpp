@@ -5,8 +5,12 @@
 //
 //  * `BusPool` — the instance-oriented bus. A pool of slots, each hosting
 //    one agreement instance's rounds: the slot owns the instance's failure
-//    pattern and stages its payloads, and `exchange_round()` moves one full
-//    round of broadcasts through the adversary filter synchronously. Slots
+//    pattern and round counter, and `filter_round()` passes one full round
+//    of broadcasts through the adversary filter synchronously. It reports
+//    who heard whom and leaves the payloads in the caller's outbox, so a
+//    broadcast round costs O(n) payload work, not one copy per delivered
+//    edge; `exchange_round()` adds per-receiver inbox copies for callers
+//    that want them, and routes per-destination payloads. Slots
 //    own no threads; whichever worker is currently advancing the instance
 //    (net/workload.hpp multiplexes thousands of instances over a fixed
 //    worker pool) drives the slot. Distinct slots may be driven
@@ -20,6 +24,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "failure/pattern.hpp"
@@ -57,10 +62,30 @@ class BusPool {
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
   [[nodiscard]] std::size_t in_use() const;
 
+  /// One broadcast round as the adversary filter sees it: who heard whom.
+  /// The payloads never move; they stay in the caller's outbox.
+  struct BroadcastRound {
+    int round = 0;  ///< the round index that was just exchanged (0-based)
+    /// received[to]: senders whose payload reached `to` (self included when
+    /// `to` sent a non-⊥ payload).
+    std::vector<AgentSet> received;
+    /// sent[from]: receivers (excluding `from`) addressed by a non-⊥ payload.
+    std::vector<AgentSet> sent;
+    /// delivered[from]: subset of sent[from] the adversary delivered.
+    std::vector<AgentSet> delivered;
+  };
+
   /// Moves one round of broadcast payloads (outbox[i] = agent i's payload,
-  /// nullopt = ⊥) through the slot's failure pattern and returns every
-  /// agent's inbox plus the sent/delivered logs. Synchronous: the caller is
-  /// the instance's current worker and submits all n payloads at once.
+  /// nullopt = ⊥) through the slot's failure pattern. O(n) payload work:
+  /// nothing is copied, every receiver of sender i reads outbox[i].
+  /// Synchronous: the caller is the instance's current worker and submits
+  /// all n payloads at once.
+  [[nodiscard]] BroadcastRound filter_round(
+      SlotId id, std::span<const std::optional<Bytes>> outbox);
+
+  /// filter_round() plus a per-receiver copy of every delivered payload:
+  /// inbox[to][from] = outbox[from] iff from ∈ received[to]. For callers
+  /// that want one inbox per receiver.
   [[nodiscard]] RoundResult exchange_round(
       SlotId id, std::vector<std::optional<Bytes>> outbox);
 

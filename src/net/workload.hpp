@@ -5,10 +5,11 @@
 // stepper holds the n agent states and the run record, the slot carries the
 // instance's byte payloads through the adversary. Scheduling is
 // round-sliced — a worker pops an instance, advances it by exactly one
-// round (serialize µ → slot.exchange_round → deserialize → δ), and requeues
-// it — so every admitted instance is concurrently in flight from admission
-// to completion, none owns a thread, and the worker count bounds CPU use,
-// not the instance count. This replaces the seed's thread-per-agent cluster
+// round (serialize µ → slot.filter_round → decode each delivered broadcast
+// once → δ; see advance_wire_round_staged), and requeues it — so every
+// admitted instance is concurrently in flight from admission to
+// completion, none owns a thread, and the worker count bounds CPU use, not
+// the instance count. This replaces the seed's thread-per-agent cluster
 // (n threads per run) as the execution model for cluster workloads;
 // `run_cluster` (net/cluster.hpp) is the single-instance wrapper.
 //
@@ -194,14 +195,23 @@ namespace detail {
 enum class RoundOutcome { completed, in_progress, aborted };
 
 /// Moves one staged round of `stepper` through its bus slot: serialize µ,
-/// exchange through the slot's adversary filter, decode each sender's
-/// payload once, δ. With `sync_pattern` the slot's pattern is refreshed
-/// from the stepper after begin_round() — the adaptive hook may have just
-/// added drops for exactly this round. `on_staged(actions)` runs at the
-/// staging point — after the actions and the round's pattern are fixed,
-/// before any payload moves — which is where the durable intent record is
-/// cut and where a mid-round power cut strikes; returning false aborts the
-/// round.
+/// filter through the slot's adversary, decode, δ. With `sync_pattern` the
+/// slot's pattern is refreshed from the stepper after begin_round() — the
+/// adaptive hook may have just added drops for exactly this round.
+/// `on_staged(actions)` runs at the staging point — after the actions and
+/// the round's pattern are fixed, before any payload moves — which is where
+/// the durable intent record is cut and where a mid-round power cut
+/// strikes; returning false aborts the round.
+///
+/// A broadcast round does O(n) payload work: the bus filter only reports
+/// who heard whom, the payloads stay in the outbox, and each sender's
+/// payload is decoded at most once. Borrowed-round exchanges (E_fip) decode
+/// only the payloads that reached another agent and lend the decoded
+/// snapshots to the stepper's whole-round δ, which builds one graph union
+/// per distinct received set; a sender heard by nobody else stands in with
+/// its own state. Other broadcast exchanges share each decoded message
+/// across its receivers' inboxes. Per-destination exchanges ship and decode
+/// one payload per delivered edge.
 template <ExchangeProtocol X, class P, class OnStaged>
 RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
                                        BusPool& pool, BusPool::SlotId slot,
@@ -209,6 +219,7 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
                                        OnStaged&& on_staged) {
   using Message = typename X::Message;
   const int n = x.n();
+  const auto un = static_cast<std::size_t>(n);
   const std::vector<Action>* actions = stepper.begin_round();
   if (!actions) return RoundOutcome::completed;
   if (sync_pattern) pool.update_pattern(slot, stepper.pattern());
@@ -216,9 +227,8 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
 
   std::size_t bits = 0;
   std::size_t messages = 0;
-  BusPool::RoundResult res;
   if constexpr (BroadcastExchange<X>) {
-    std::vector<std::optional<Bytes>> outbox(static_cast<std::size_t>(n));
+    std::vector<std::optional<Bytes>> outbox(un);
     for (AgentId i = 0; i < n; ++i) {
       const std::optional<Message> m =
           x.message(stepper.states()[static_cast<std::size_t>(i)],
@@ -228,15 +238,38 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
       messages += static_cast<std::size_t>(n - 1);
       outbox[static_cast<std::size_t>(i)] = to_bytes(*m);
     }
-    res = pool.exchange_round(slot, std::move(outbox));
+    BusPool::BroadcastRound res = pool.filter_round(slot, outbox);
+
+    if constexpr (BorrowedRoundExchange<X>) {
+      std::vector<std::optional<Message>> decoded(un);
+      std::vector<const typename X::Snapshot*> graphs(un, nullptr);
+      for (std::size_t from = 0; from < un; ++from) {
+        if (res.delivered[from].empty()) continue;
+        decoded[from] = from_bytes<Message>(*outbox[from]);
+        graphs[from] = &x.message_snapshot(*decoded[from]);
+      }
+      stepper.finish_round(graphs, res.received, std::move(res.sent),
+                           std::move(res.delivered), bits, messages);
+    } else {
+      std::vector<std::vector<std::optional<Message>>> inbox(
+          un, std::vector<std::optional<Message>>(un));
+      for (std::size_t from = 0; from < un; ++from) {
+        if (!outbox[from]) continue;
+        const Message decoded = from_bytes<Message>(*outbox[from]);
+        for (std::size_t to = 0; to < un; ++to)
+          if (res.received[to].contains(static_cast<AgentId>(from)))
+            inbox[to][from] = decoded;
+      }
+      stepper.finish_round(inbox, std::move(res.sent),
+                           std::move(res.delivered), bits, messages);
+    }
   } else {
     // Per-destination staging: µ is evaluated once per (sender, receiver)
     // edge and each edge ships its own payload, mirroring the stepper's
     // per-destination loop (generic_round) — same bit/message accounting
     // (self-addressed payloads are free), same always-delivered self edge.
     std::vector<std::vector<std::optional<Bytes>>> outbox(
-        static_cast<std::size_t>(n),
-        std::vector<std::optional<Bytes>>(static_cast<std::size_t>(n)));
+        un, std::vector<std::optional<Bytes>>(un));
     for (AgentId i = 0; i < n; ++i) {
       for (AgentId j = 0; j < n; ++j) {
         const std::optional<Message> m =
@@ -251,41 +284,16 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
             to_bytes(*m);
       }
     }
-    res = pool.exchange_round(slot, std::move(outbox));
+    BusPool::RoundResult res = pool.exchange_round(slot, std::move(outbox));
+    std::vector<std::vector<std::optional<Message>>> inbox(
+        un, std::vector<std::optional<Message>>(un));
+    for (std::size_t to = 0; to < un; ++to)
+      for (std::size_t from = 0; from < un; ++from)
+        if (const auto& payload = res.inbox[to][from])
+          inbox[to][from] = from_bytes<Message>(*payload);
+    stepper.finish_round(inbox, std::move(res.sent), std::move(res.delivered),
+                         bits, messages);
   }
-
-  // Every receiver's copy of a broadcast payload is bit-identical, so
-  // each sender's payload is decoded once and the decoded value shared
-  // across its receivers — exactly as the abstract simulator shares µ's
-  // result (the thread-per-agent model decoded per receiver by necessity).
-  // Per-destination payloads are distinct by construction and decode once
-  // per delivered edge.
-  std::vector<std::vector<std::optional<Message>>> inbox(
-      static_cast<std::size_t>(n),
-      std::vector<std::optional<Message>>(static_cast<std::size_t>(n)));
-  for (AgentId from = 0; from < n; ++from) {
-    if constexpr (BroadcastExchange<X>) {
-      std::optional<Message> decoded;
-      for (AgentId to = 0; to < n; ++to) {
-        const auto& payload = res.inbox[static_cast<std::size_t>(to)]
-                                       [static_cast<std::size_t>(from)];
-        if (!payload) continue;
-        if (!decoded) decoded = from_bytes<Message>(*payload);
-        inbox[static_cast<std::size_t>(to)][static_cast<std::size_t>(from)] =
-            *decoded;
-      }
-    } else {
-      for (AgentId to = 0; to < n; ++to) {
-        const auto& payload = res.inbox[static_cast<std::size_t>(to)]
-                                       [static_cast<std::size_t>(from)];
-        if (!payload) continue;
-        inbox[static_cast<std::size_t>(to)][static_cast<std::size_t>(from)] =
-            from_bytes<Message>(*payload);
-      }
-    }
-  }
-  stepper.finish_round(inbox, std::move(res.sent), std::move(res.delivered),
-                       bits, messages);
   return stepper.done() ? RoundOutcome::completed : RoundOutcome::in_progress;
 }
 

@@ -26,15 +26,16 @@
 //    each sender's message once and fans it out. Exchanges without the
 //    marker get a correct per-destination µ loop instead (the seed engine
 //    silently assumed broadcast; see message() docs in exchange.hpp).
-//  * `BorrowedRoundExchange` — the exchange lets the engine move a
-//    snapshot of the mutable part of the state out as the round's
-//    broadcast and rebuild the next state from borrowed snapshots. E_fip
-//    uses this to eliminate its per-round message churn: the sender's
-//    graph is *moved* into the round pipeline, receivers merge it by
-//    const reference, and the sender copies it back only when the
-//    adversary actually delivered it to someone else (copy-on-write on
-//    delivery forks). No shared_ptr control blocks, no n² inbox of
-//    refcounted messages.
+//  * `BorrowedRoundExchange` — the exchange runs δ for the whole round
+//    from borrowed per-sender snapshots plus each receiver's received
+//    set. E_fip groups receivers by received set R, builds the union of
+//    the senders' graphs once per distinct R and copies it into each
+//    receiver's graph storage: Σ_R (|R| − 1) merges a round instead of
+//    one per delivered edge, and no shared_ptr inbox. The same δ serves
+//    step() (snapshots borrowed from the states), the wire path's
+//    snapshot finish_round() (graphs decoded once per sender; net/
+//    workload.hpp) and the inbox finish_round() (each sender's graph read
+//    through its message).
 #pragma once
 
 #include <functional>
@@ -85,31 +86,49 @@ concept BroadcastExchange = requires {
   { X::kBroadcast } -> std::convertible_to<bool>;
 } && bool(X::kBroadcast);
 
-/// Optional zero-copy round pipeline. An exchange models it by declaring
-/// a `Snapshot` type plus:
+/// Optional whole-round δ over borrowed snapshots. An exchange models it by
+/// declaring a `Snapshot` type plus:
 ///
-///   Snapshot take_snapshot(State&)        — move the broadcast-relevant
-///     part of the state out as this round's message-equivalent. The
-///     exchange must broadcast every round (µ never ⊥) for this path.
+///   const Snapshot& snapshot(const State&) — the broadcast-relevant part of
+///     the state, borrowed; µ(s, a, dest) is a copy of it. The exchange must
+///     broadcast every round (µ never ⊥) for this path.
+///   const Snapshot& message_snapshot(const Message&) — the snapshot a
+///     received message carries.
 ///   std::size_t snapshot_bits(const Snapshot&) — Prop 8.1 accounting,
 ///     equal to message_bits(µ(s, a, dest)) on the same state.
-///   void apply_round(State&, const Action&, Snapshot&& own, AgentSet
-///     received, std::span<const Snapshot* const> merged) — δ rebuilt from
-///     the agent's own snapshot (moved back, or a copy when the adversary
-///     forked delivery) and the delivered senders' snapshots, borrowed in
-///     ascending sender order. Must produce the same state as update() on
-///     the equivalent inbox (tests/test_workload.cpp enforces this).
+///   void update_round(std::span<State>, std::span<const Action>,
+///     std::span<const Snapshot* const> graphs, std::span<const AgentSet>
+///     received) — δ for every agent at once: graphs[i] is sender i's round
+///     snapshot (possibly agent i's own state's), received[j] the senders
+///     whose message reached j (j included). Must produce the same states as
+///     update() on the equivalent inboxes (tests/test_workload.cpp enforces
+///     this).
 template <class X>
-concept BorrowedRoundExchange =
-    requires(const X x, typename X::State& s, const Action a, AgentSet rec) {
-      typename X::Snapshot;
-      { x.take_snapshot(s) } -> std::same_as<typename X::Snapshot>;
-      {
-        x.snapshot_bits(std::declval<const typename X::Snapshot&>())
-      } -> std::convertible_to<std::size_t>;
-      x.apply_round(s, a, std::declval<typename X::Snapshot>(), rec,
-                    std::span<const typename X::Snapshot* const>{});
-    };
+concept BorrowedRoundExchange = requires(
+    const X x, const typename X::State& s, const typename X::Message& msg,
+    std::span<typename X::State> states, std::span<const Action> actions,
+    std::span<const typename X::Snapshot* const> graphs,
+    std::span<const AgentSet> received) {
+  typename X::Snapshot;
+  { x.snapshot(s) } -> std::same_as<const typename X::Snapshot&>;
+  { x.message_snapshot(msg) } -> std::same_as<const typename X::Snapshot&>;
+  { x.snapshot_bits(x.snapshot(s)) } -> std::convertible_to<std::size_t>;
+  x.update_round(states, actions, graphs, received);
+};
+
+namespace detail {
+/// X::Snapshot where the exchange declares one, void otherwise, so Stepper
+/// can name it in member signatures that only borrowed-round exchanges use.
+template <class X>
+struct SnapshotOf {
+  using type = void;
+};
+template <class X>
+  requires requires { typename X::Snapshot; }
+struct SnapshotOf<X> {
+  using type = typename X::Snapshot;
+};
+}  // namespace detail
 
 /// Opt-in observer of the in-place engine: receives the state vector at
 /// time 0 and after every completed round. `MaterializingSink` recovers the
@@ -165,6 +184,7 @@ class Stepper {
  public:
   using State = typename X::State;
   using Message = typename X::Message;
+  using Snapshot = typename detail::SnapshotOf<X>::type;
 
   /// `x` and `act` are borrowed and must outlive the stepper; the pattern
   /// and preferences are copied so an instance owns its inputs (the
@@ -291,7 +311,7 @@ class Stepper {
     const std::vector<Action>* actions = begin_round();
     if (!actions) return false;
     if constexpr (BorrowedRoundExchange<X>) {
-      borrowed_round(*actions);
+      borrowed_round();
     } else {
       generic_round(*actions);
     }
@@ -334,23 +354,63 @@ class Stepper {
 
   /// Completes a round whose messages were moved by an external transport:
   /// applies δ with the filtered inboxes and appends the transport's
-  /// sent/delivered logs and accounting to the record.
+  /// sent/delivered logs and accounting to the record. Borrowed-round
+  /// exchanges read each sender's snapshot through its message and run
+  /// their one whole-round δ; a broadcast must then reach every receiver
+  /// unchanged.
   void finish_round(
       std::span<const std::vector<std::optional<Message>>> inbox,
       std::vector<AgentSet> sent, std::vector<AgentSet> delivered,
       std::size_t bits, std::size_t messages) {
     EBA_REQUIRE(in_round_, "finish_round without begin_round");
     EBA_REQUIRE(static_cast<int>(inbox.size()) == n_, "inbox size mismatch");
-    bits_sent_ += bits;
-    messages_sent_ += messages;
-    for (AgentId i = 0; i < n_; ++i)
-      x_->update(states_[static_cast<std::size_t>(i)],
-                 actions_[static_cast<std::size_t>(i)],
-                 std::span<const std::optional<Message>>(
-                     inbox[static_cast<std::size_t>(i)]));
-    record_.sent.push_back(std::move(sent));
-    record_.delivered.push_back(std::move(delivered));
-    end_round();
+    if constexpr (BorrowedRoundExchange<X>) {
+      const std::size_t un = static_cast<std::size_t>(n_);
+      std::vector<const Snapshot*> graphs(un, nullptr);
+      std::vector<AgentSet> received(un);
+      for (std::size_t j = 0; j < un; ++j) {
+        EBA_REQUIRE(inbox[j].size() == un, "inbox row size mismatch");
+        received[j].insert(static_cast<AgentId>(j));
+        for (std::size_t i = 0; i < un; ++i) {
+          if (!inbox[j][i]) continue;
+          received[j].insert(static_cast<AgentId>(i));
+          const Snapshot* g = &x_->message_snapshot(*inbox[j][i]);
+          if (!graphs[i]) graphs[i] = g;
+          EBA_REQUIRE(g == graphs[i] || *g == *graphs[i],
+                      "a broadcast reached its receivers with different "
+                      "contents");
+        }
+      }
+      finish_round(graphs, received, std::move(sent), std::move(delivered),
+                   bits, messages);
+    } else {
+      for (AgentId i = 0; i < n_; ++i)
+        x_->update(states_[static_cast<std::size_t>(i)],
+                   actions_[static_cast<std::size_t>(i)],
+                   std::span<const std::optional<Message>>(
+                       inbox[static_cast<std::size_t>(i)]));
+      complete_round(std::move(sent), std::move(delivered), bits, messages);
+    }
+  }
+
+  /// Completes a borrowed-round exchange's round from per-sender snapshots:
+  /// `graphs[i]` is sender i's decoded snapshot, or null when i's broadcast
+  /// reached no other agent (its own state's snapshot then stands in), and
+  /// `received[j]` the senders whose broadcast reached j (j included). The
+  /// snapshots are only borrowed for the call. Otherwise as the inbox
+  /// overload.
+  void finish_round(std::span<const Snapshot* const> graphs,
+                    std::span<const AgentSet> received,
+                    std::vector<AgentSet> sent, std::vector<AgentSet> delivered,
+                    std::size_t bits, std::size_t messages)
+    requires BorrowedRoundExchange<X>
+  {
+    EBA_REQUIRE(in_round_, "finish_round without begin_round");
+    EBA_REQUIRE(static_cast<int>(graphs.size()) == n_ &&
+                    static_cast<int>(received.size()) == n_,
+                "round size mismatch");
+    borrowed_delta({graphs.begin(), graphs.end()}, received);
+    complete_round(std::move(sent), std::move(delivered), bits, messages);
   }
 
   /// The record accumulated so far; `record().rounds` is kept in sync after
@@ -432,27 +492,32 @@ class Stepper {
     record_.delivered.push_back(std::move(delivered));
   }
 
-  /// Zero-copy round for borrowed-round exchanges (E_fip): every agent's
-  /// snapshot is moved out once, receivers merge it by reference, and a
-  /// sender's own snapshot is moved back unless the adversary actually
-  /// delivered it to another agent (then the fork forces one copy).
-  void borrowed_round(const std::vector<Action>& actions)
+  /// Appends an externally moved round's logs and accounting, then closes
+  /// the round.
+  void complete_round(std::vector<AgentSet> sent,
+                      std::vector<AgentSet> delivered, std::size_t bits,
+                      std::size_t messages) {
+    bits_sent_ += bits;
+    messages_sent_ += messages;
+    record_.sent.push_back(std::move(sent));
+    record_.delivered.push_back(std::move(delivered));
+    end_round();
+  }
+
+  /// In-memory round for borrowed-round exchanges (E_fip): the adversary
+  /// filter yields each receiver's sender set, and the exchange's
+  /// whole-round δ borrows every sender's snapshot straight from its state.
+  void borrowed_round()
     requires BorrowedRoundExchange<X>
   {
-    using Snapshot = typename X::Snapshot;
     const std::size_t un = static_cast<std::size_t>(n_);
     std::vector<AgentSet> sent(un);
     std::vector<AgentSet> delivered(un);
     std::vector<AgentSet> received(un);
-
-    std::vector<Snapshot> snaps;
-    snaps.reserve(un);
-    for (AgentId i = 0; i < n_; ++i)
-      snaps.push_back(x_->take_snapshot(states_[static_cast<std::size_t>(i)]));
-
     for (AgentId i = 0; i < n_; ++i) {
       bits_sent_ += static_cast<std::size_t>(n_ - 1) *
-                    x_->snapshot_bits(snaps[static_cast<std::size_t>(i)]);
+                    x_->snapshot_bits(
+                        x_->snapshot(states_[static_cast<std::size_t>(i)]));
       messages_sent_ += static_cast<std::size_t>(n_ - 1);
       sent[static_cast<std::size_t>(i)] = AgentSet::all(n_).minus(AgentSet{i});
       for (AgentId j = 0; j < n_; ++j) {
@@ -461,26 +526,22 @@ class Stepper {
         if (j != i) delivered[static_cast<std::size_t>(i)].insert(j);
       }
     }
-
-    std::vector<const Snapshot*> merged;
-    merged.reserve(un);
-    for (AgentId j = 0; j < n_; ++j) {
-      merged.clear();
-      for (AgentId i : received[static_cast<std::size_t>(j)])
-        if (i != j) merged.push_back(&snaps[static_cast<std::size_t>(i)]);
-      // Copy-on-write: only a snapshot the adversary delivered elsewhere
-      // must survive as a merge source; an unforked one is moved back.
-      Snapshot base =
-          delivered[static_cast<std::size_t>(j)].empty()
-              ? std::move(snaps[static_cast<std::size_t>(j)])
-              : snaps[static_cast<std::size_t>(j)];
-      x_->apply_round(states_[static_cast<std::size_t>(j)],
-                      actions[static_cast<std::size_t>(j)], std::move(base),
-                      received[static_cast<std::size_t>(j)],
-                      std::span<const Snapshot* const>(merged));
-    }
+    borrowed_delta(std::vector<const Snapshot*>(un), received);
     record_.sent.push_back(std::move(sent));
     record_.delivered.push_back(std::move(delivered));
+  }
+
+  /// The exchange's whole-round δ; a null graphs[i] stands for sender i's
+  /// own state snapshot.
+  void borrowed_delta(std::vector<const Snapshot*> graphs,
+                      std::span<const AgentSet> received)
+    requires BorrowedRoundExchange<X>
+  {
+    for (std::size_t i = 0; i < graphs.size(); ++i)
+      if (!graphs[i]) graphs[i] = &x_->snapshot(states_[i]);
+    x_->update_round(std::span<State>(states_),
+                     std::span<const Action>(actions_),
+                     std::span<const Snapshot* const>(graphs), received);
   }
 
   const X* x_;

@@ -2,6 +2,10 @@
 // µ message selection, δ state updates, and the EBA-context constraints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "exchange/basic.hpp"
 #include "exchange/exchange.hpp"
 #include "exchange/fip.hpp"
@@ -170,6 +174,69 @@ TEST(FipExchangeTest, StateEqualityIgnoresDecisionCache) {
   EXPECT_EQ(hash_value(a), hash_value(b));
   b.init = Value::zero;
   EXPECT_NE(a, b);
+}
+
+TEST(FipExchangeTest, UpdateRoundBuildsOneUnionPerReceivedSet) {
+  const FipExchange x(4);
+  std::vector<FipState> states;
+  for (AgentId i = 0; i < 4; ++i)
+    states.push_back(x.initial_state(i, i == 2 ? Value::zero : Value::one));
+  std::vector<FipState> want = states;
+  std::vector<const CommGraph*> graphs;
+  for (const FipState& s : states) graphs.push_back(&s.graph);
+  // Agents 0 and 1 share {0, 1, 2}; agent 2 hears {1, 2}; agent 3 only
+  // itself.
+  const std::vector<AgentSet> received = {
+      AgentSet{0, 1, 2}, AgentSet{0, 1, 2}, AgentSet{1, 2}, AgentSet{3}};
+  const std::vector<Action> actions(4, Action::noop());
+  const std::uint64_t before = x.graph_merges();
+  x.update_round(states, actions, graphs, received);
+  EXPECT_EQ(x.graph_merges() - before, 2u + 1u + 0u);
+
+  for (AgentId j = 0; j < 4; ++j) {
+    auto inbox = empty_inbox<FipExchange::Message>(4);
+    for (AgentId i : received[static_cast<std::size_t>(j)])
+      inbox[static_cast<std::size_t>(i)] = std::make_shared<const CommGraph>(
+          want[static_cast<std::size_t>(i)].graph);
+    FipState ref = want[static_cast<std::size_t>(j)];
+    x.update(ref, Action::noop(), inbox);
+    EXPECT_EQ(states[static_cast<std::size_t>(j)], ref) << "agent " << j;
+  }
+}
+
+TEST(FipExchangeTest, UpdateRoundRebuildsTheFaultTableOnRevisionCollision) {
+  // KnowledgeCache keys on (graph address, revision). Built by hand: agent
+  // 0's graph sits at revision 5 with its fault table memoized, and the
+  // union it receives is a fresh copy at revision 4. A plain copy plus the
+  // round row would land on revision 5 again, at the same address, with
+  // different contents — the cache would serve the stale time-0 table.
+  const FipExchange x(3);
+  std::vector<FipState> states;
+  for (AgentId i = 0; i < 3; ++i)
+    states.push_back(x.initial_state(i, Value::one));
+  while (states[0].graph.revision() < 5)
+    states[0].graph.set_pref(0, PrefLabel::one);
+  ASSERT_EQ(states[0].graph.revision(), 5u);
+  const auto stale = states[0].knowledge.fault_table(states[0].graph);
+  ASSERT_EQ(stale.size(), 3u);
+
+  CommGraph sent0(3, 0, Value::one);  // agent 0's graph as a receiver decoded it
+  while (sent0.revision() < 3) sent0.set_pref(0, PrefLabel::one);
+  ASSERT_EQ(sent0.revision() + 1, 4u) << "the {0, 1} union is one merge on";
+  const std::vector<const CommGraph*> graphs = {&sent0, &states[1].graph,
+                                                &states[2].graph};
+  const std::vector<AgentSet> received = {AgentSet{0, 1}, AgentSet{0, 1},
+                                          AgentSet{2}};
+  const std::vector<Action> actions(3, Action::noop());
+  x.update_round(states, actions, graphs, received);
+
+  EXPECT_GT(states[0].graph.revision(), 5u);
+  const auto table = states[0].knowledge.fault_table(states[0].graph);
+  KnowledgeCache fresh;
+  const auto want = fresh.fault_table(states[0].graph);
+  ASSERT_EQ(table.size(), want.size());
+  EXPECT_TRUE(std::equal(table.begin(), table.end(), want.begin()));
+  EXPECT_EQ(table.size(), 6u) << "time-1 table: two rows of n";
 }
 
 }  // namespace

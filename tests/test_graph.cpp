@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "exchange/fip.hpp"
 #include "failure/generators.hpp"
@@ -58,6 +59,66 @@ TEST(CommGraphTest, MergeConflictThrows) {
   CommGraph b = CommGraph::blank(2, 1);
   b.set_label(0, 1, 0, Label::absent);  // contradicts a's observation
   EXPECT_THROW(a.merge(b), std::logic_error);
+}
+
+/// Runs `fn` and returns the logic_error message it throws ("" if none).
+template <class Fn>
+std::string contract_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CommGraphTest, MergeRejectsInconsistentDeliveryObservations) {
+  // Two receivers' graphs that both hold a definite label for the same
+  // round-1 edge 2 -> 0, with opposite values.
+  CommGraph a(3, 0, Value::one);
+  a.advance_round(0, AgentSet{1});  // 2 -> 0 known absent
+  CommGraph b(3, 1, Value::one);
+  b.advance_round(1, AgentSet{0, 2});
+  b.set_label(0, 2, 0, Label::present);
+  const CommGraph a_before = a;
+  EXPECT_NE(contract_message([&] { a.merge(b); })
+                .find("inconsistent delivery observations"),
+            std::string::npos);
+  // The conflict is symmetric.
+  CommGraph b2 = b;
+  EXPECT_NE(contract_message([&] { b2.merge(a_before); })
+                .find("inconsistent delivery observations"),
+            std::string::npos);
+}
+
+TEST(CommGraphTest, MergeRejectsInconsistentPreferenceObservations) {
+  CommGraph a(3, 0, Value::zero);
+  CommGraph b(3, 1, Value::one);
+  b.set_pref(0, PrefLabel::one);  // contradicts agent 0's own preference
+  EXPECT_NE(contract_message([&] { a.merge(b); })
+                .find("inconsistent preference observations"),
+            std::string::npos);
+  // Agreeing definite preferences merge cleanly.
+  CommGraph c(3, 2, Value::one);
+  c.set_pref(0, PrefLabel::zero);
+  EXPECT_NO_THROW(a.merge(c));
+  EXPECT_EQ(a.pref(2), PrefLabel::one);
+}
+
+TEST(CommGraphTest, AssignKeepsRevisionStrictlyIncreasing) {
+  CommGraph a(3, 0, Value::one);
+  for (int k = 0; k < 5; ++k) a.set_pref(0, PrefLabel::one);
+  const CommGraph b(3, 1, Value::zero);
+  ASSERT_LT(b.revision(), a.revision());
+  const std::uint64_t before = a.revision();
+  a.assign(b);
+  EXPECT_EQ(a, b);
+  EXPECT_GT(a.revision(), before);
+  EXPECT_GT(a.revision(), b.revision());
+  const std::uint64_t again = a.revision();
+  a.assign(a);
+  EXPECT_EQ(a, b);
+  EXPECT_GT(a.revision(), again);
 }
 
 TEST(CommGraphTest, BitSizeMatchesShape) {

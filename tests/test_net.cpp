@@ -3,6 +3,8 @@
 // the abstract simulator.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "action/p_basic.hpp"
@@ -355,6 +357,79 @@ TEST(ClusterTest, ExampleSeventyOneOverTheWire) {
     EXPECT_EQ(d->value, Value::one);
   }
   EXPECT_TRUE(check_eba(result.record).ok());
+}
+
+// -- Tampered E_fip payloads on the wire ------------------------------------
+
+/// E_fip whose agent 0 flips one definite label in the graph it broadcasts
+/// in round 3: the round-1 edge 2 -> 1, which agent 0 learned from agent 1
+/// in round 2 and which every agent that heard anyone in round 2 knows too.
+class FlippedLabelFip : public FipExchange {
+ public:
+  using FipExchange::FipExchange;
+
+  [[nodiscard]] std::optional<Message> message(const State& s, const Action& a,
+                                               AgentId dest) const {
+    if (s.self != 0 || s.time != 2) return FipExchange::message(s, a, dest);
+    CommGraph g = s.graph;
+    EBA_REQUIRE(g.label(0, 2, 1) == Label::present,
+                "the flipped label must be definite");
+    g.set_label(0, 2, 1, Label::absent);
+    return std::make_shared<const CommGraph>(std::move(g));
+  }
+};
+
+/// Never decides, so every run lasts its full horizon.
+struct NeverDecide {
+  Action operator()(const FipState& /*s*/) const { return Action::noop(); }
+};
+
+std::string workload_failure(const FailurePattern& alpha) {
+  const int n = 4;
+  const FlippedLabelFip x(n);
+  const std::vector<InstanceSpec> specs = {
+      {alpha, std::vector<Value>(static_cast<std::size_t>(n), Value::one)}};
+  try {
+    (void)run_workload(x, NeverDecide{}, std::span(specs), /*t=*/1);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WireTamperTest, FlippedDefiniteLabelDecodesButFailsTheDelta) {
+  const FlippedLabelFip x(4);
+  FipState s = x.initial_state(0, Value::one);
+  for (int m = 0; m < 2; ++m) s.graph.advance_round(0, AgentSet::all(4));
+  // Agent 0 has heard the round-1 row of agent 1 via the merge in round 2.
+  s.graph.set_label(0, 2, 1, Label::present);
+  s.time = 2;
+  const auto tampered = x.message(s, Action::noop(), 1);
+  ASSERT_TRUE(tampered);
+  const Bytes payload = to_bytes(*tampered);
+  EXPECT_NO_THROW((void)from_bytes<FipExchange::Message>(payload))
+      << "a flipped label is still well-formed bytes";
+}
+
+TEST(WireTamperTest, SharedReceivedSetRejectsTheFlippedLabel) {
+  // Failure-free: all four receivers share one received set in round 3.
+  EXPECT_NE(workload_failure(FailurePattern::failure_free(4))
+                .find("inconsistent delivery observations"),
+            std::string::npos);
+}
+
+TEST(WireTamperTest, SingleReceiverReceivedSetRejectsTheFlippedLabel) {
+  // Round 3: faulty agent 0 reaches only agent 3 and hears nobody. Received
+  // sets: {0} for agent 0, {1, 2, 3} for agents 1 and 2, and {0, 1, 2, 3}
+  // for agent 3 alone — the only union that holds the flipped label next to
+  // an honest copy of it.
+  FailurePattern alpha(4, AgentSet{1, 2, 3});
+  alpha.drop(2, 0, 1);
+  alpha.drop(2, 0, 2);
+  alpha.deafen(2, 0);
+  EXPECT_NE(
+      workload_failure(alpha).find("inconsistent delivery observations"),
+      std::string::npos);
 }
 
 }  // namespace

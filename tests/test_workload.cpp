@@ -9,9 +9,12 @@
 // including the early-decide and max_rounds-truncation edges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "action/p_basic.hpp"
 #include "action/p_min.hpp"
 #include "action/p_opt.hpp"
+#include "action/p_opt_go.hpp"
 #include "core/spec.hpp"
 #include "failure/generators.hpp"
 #include "net/cluster.hpp"
@@ -109,8 +112,8 @@ TEST(StepperEquivalence, PBasicMatchesSeedSemantics) {
 }
 
 TEST(StepperEquivalence, POptMatchesSeedSemantics) {
-  // Exercises the borrowed-round fast path (graphs moved through the round
-  // pipeline, copy-on-write on delivery forks) against the seed's
+  // Exercises the borrowed-round δ (one graph union per distinct received
+  // set, copied into each receiver's graph) against the seed's per-receiver
   // shared_ptr message semantics.
   sweep_protocol([](int n) { return FipExchange(n); },
                  [](int n, int t) { return POpt(n, t); }, 4, 2, 103, 8,
@@ -135,9 +138,11 @@ TEST(StepperTest, UndecidedCounterTracksDecisions) {
   const int t = 2;
   std::vector<Value> prefs(static_cast<std::size_t>(n), Value::one);
   prefs[0] = Value::zero;
-  Stepper<MinExchange, PMin> stepper(MinExchange(n), PMin(n, t),
-                                     FailurePattern::failure_free(n), prefs,
-                                     t);
+  // The stepper borrows the exchange and the action protocol.
+  const MinExchange x(n);
+  const PMin p(n, t);
+  Stepper<MinExchange, PMin> stepper(x, p, FailurePattern::failure_free(n),
+                                     prefs, t);
   EXPECT_EQ(stepper.undecided(), n);
   ASSERT_TRUE(stepper.step());  // round 1: agent 0 decides 0, announces
   EXPECT_EQ(stepper.undecided(), n - 1);
@@ -154,8 +159,10 @@ TEST(StepperTest, TraceSinkSeesEveryTime) {
   StepperOptions opt;
   opt.max_rounds = 3;
   opt.stop_when_all_decided = false;
+  const MinExchange x(n);
+  const PMin p(n, t);
   Stepper<MinExchange, PMin> stepper(
-      MinExchange(n), PMin(n, t), FailurePattern::failure_free(n),
+      x, p, FailurePattern::failure_free(n),
       std::vector<Value>(static_cast<std::size_t>(n), Value::one), t, opt,
       &sink);
   while (stepper.step()) {
@@ -298,6 +305,20 @@ TEST(BusPoolTest, ExchangeRoundFiltersLikeThePattern) {
   EXPECT_EQ(res.sent[2], (AgentSet{0, 1}));
   EXPECT_EQ(res.delivered[2], AgentSet{1});
   EXPECT_EQ(pool.completed_rounds(slot), 1);
+
+  // The copy-free filter underneath reports the same round as sender sets.
+  BusPool filter_pool(1);
+  const auto filter_slot = filter_pool.acquire(alpha);
+  std::vector<std::optional<Bytes>> payloads(static_cast<std::size_t>(n),
+                                             Bytes{7});
+  const auto heard = filter_pool.filter_round(filter_slot, payloads);
+  EXPECT_EQ(heard.round, 0);
+  EXPECT_EQ(heard.received[0], (AgentSet{0, 1})) << "2 -> 0 dropped";
+  EXPECT_EQ(heard.received[1], (AgentSet{0, 1, 2}));
+  EXPECT_EQ(heard.received[2], (AgentSet{0, 1, 2}));
+  EXPECT_EQ(heard.sent, res.sent);
+  EXPECT_EQ(heard.delivered, res.delivered);
+  filter_pool.release(filter_slot);
 
   // ⊥ payloads are not delivered anywhere.
   std::vector<std::optional<Bytes>> silent(static_cast<std::size_t>(n));
@@ -464,6 +485,241 @@ TEST(AdaptiveWorkloadTest, ManyInstancesUnderManyWorkers) {
     const AdaptiveOutcome want = run_adaptive(x, p, *strat, all_prefs[k], t);
     expect_records_equal(pooled.instances[k].record, want.summary.record,
                          "instance " + std::to_string(k));
+  }
+}
+
+// -- E_fip union δ ------------------------------------------------------------
+//
+// E_fip's δ builds U_R = ∪_{i ∈ R} G_i once per distinct received set R and
+// copies it into every receiver with that set. Oracle: the seed's
+// per-receiver FipExchange::update (tests/reference_simulator.hpp) — every
+// agent's state after every round must match under simulate(), a stepper
+// with a materializing sink, and run_workload at 1 and 4 workers; and each
+// round must cost exactly Σ_R (|R| - 1) merges.
+
+/// Receiver j's round sender set from a delivered log: j plus every sender
+/// whose message reached j.
+std::vector<AgentSet> received_sets(const std::vector<AgentSet>& delivered) {
+  const auto n = delivered.size();
+  std::vector<AgentSet> received(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    received[j].insert(static_cast<AgentId>(j));
+    for (std::size_t i = 0; i < n; ++i)
+      if (delivered[i].contains(static_cast<AgentId>(j)))
+        received[j].insert(static_cast<AgentId>(i));
+  }
+  return received;
+}
+
+std::vector<AgentSet> distinct_sets(const std::vector<AgentSet>& sets) {
+  std::vector<AgentSet> out;
+  for (AgentSet r : sets)
+    if (std::find(out.begin(), out.end(), r) == out.end()) out.push_back(r);
+  return out;
+}
+
+/// Σ_R (|R| - 1) over one round's distinct received sets.
+std::uint64_t union_merges(const std::vector<AgentSet>& delivered) {
+  std::uint64_t merges = 0;
+  for (AgentSet r : distinct_sets(received_sets(delivered)))
+    merges += static_cast<std::uint64_t>(r.size() - 1);
+  return merges;
+}
+
+/// Materializes every state and reads the exchange's merge counter at each
+/// state boundary.
+class MergeCountingSink final : public TraceSink<FipExchange> {
+ public:
+  explicit MergeCountingSink(const FipExchange& x) : x_(&x) {}
+  void on_states(int time, std::span<const FipState> states) override {
+    states_.on_states(time, states);
+    merges_.push_back(x_->graph_merges());
+  }
+  [[nodiscard]] std::vector<std::vector<FipState>>& states() {
+    return states_.states();
+  }
+  [[nodiscard]] const std::vector<std::uint64_t>& merges() const {
+    return merges_;
+  }
+
+ private:
+  const FipExchange* x_;
+  MaterializingSink<FipExchange> states_;
+  std::vector<std::uint64_t> merges_;
+};
+
+/// What the union δ exploits, tallied over the reference runs.
+struct ReceivedSetTally {
+  std::size_t rounds = 0;
+  std::size_t distinct = 0;      ///< Σ over rounds of the distinct-set count
+  std::size_t split_rounds = 0;  ///< rounds with more than one distinct set
+  std::size_t shared_rounds = 0; ///< rounds where some set has 2+ receivers
+};
+
+template <class P>
+void expect_union_delta_matches_reference(
+    const P& p, int t,
+    const std::vector<std::pair<FailurePattern, std::vector<Value>>>& worlds,
+    const std::string& name, ReceivedSetTally& tally) {
+  const FipExchange x(worlds.front().first.n());
+  std::vector<InstanceSpec> specs;
+  std::vector<eba::Run<FipExchange>> refs;
+  std::uint64_t want_merges = 0;
+  for (std::size_t k = 0; k < worlds.size(); ++k) {
+    const auto& [alpha, inits] = worlds[k];
+    const std::string what = name + " world " + std::to_string(k);
+    auto want = testing::reference_simulate(x, p, alpha, inits, t);
+
+    const auto sim = simulate(x, p, alpha, inits, t);
+    expect_records_equal(sim.record, want.record, what + " [simulate]");
+    EXPECT_EQ(sim.states, want.states) << what << " [simulate]";
+
+    MergeCountingSink sink(x);
+    Stepper<FipExchange, P> stepper(x, p, alpha, inits, t, {}, &sink);
+    while (stepper.step()) {
+    }
+    ASSERT_EQ(sink.states().size(), want.states.size()) << what;
+    for (std::size_t m = 1; m < want.states.size(); ++m) {
+      EXPECT_EQ(sink.states()[m], want.states[m])
+          << what << " [stepper] states at time " << m;
+      const auto& delivered = want.record.delivered[m - 1];
+      const std::uint64_t round_merges = union_merges(delivered);
+      EXPECT_EQ(sink.merges()[m] - sink.merges()[m - 1], round_merges)
+          << what << " merges in round " << m;
+      want_merges += round_merges;
+      const auto received = received_sets(delivered);
+      const auto sets = distinct_sets(received);
+      tally.rounds += 1;
+      tally.distinct += sets.size();
+      if (sets.size() > 1) tally.split_rounds += 1;
+      if (sets.size() < received.size()) tally.shared_rounds += 1;
+    }
+    specs.push_back({alpha, inits});
+    refs.push_back(std::move(want));
+  }
+
+  for (const int workers : {1, 4}) {
+    WorkloadOptions opt;
+    opt.workers = workers;
+    const std::uint64_t before = x.graph_merges();
+    const auto result = run_workload(x, p, std::span(specs), t, opt);
+    EXPECT_EQ(x.graph_merges() - before, want_merges)
+        << name << " [run_workload, " << workers << " workers]";
+    ASSERT_EQ(result.instances.size(), specs.size());
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      const std::string what = name + " world " + std::to_string(k) +
+                               " [run_workload, " + std::to_string(workers) +
+                               " workers]";
+      expect_records_equal(result.instances[k].record, refs[k].record, what);
+      EXPECT_EQ(result.instances[k].final_states, refs[k].states.back())
+          << what;
+    }
+  }
+}
+
+/// The hidden 0-chain of the wire mix: agents 0..t-1 are faulty and agent k
+/// delivers only to k+1, in round k+1.
+FailurePattern hidden_chain(int n, int t, int horizon) {
+  AgentSet faulty;
+  for (AgentId k = 0; k < t; ++k) faulty.insert(k);
+  FailurePattern p(n, faulty.complement(n));
+  for (AgentId k = 0; k < t; ++k)
+    for (int m = 0; m < horizon; ++m)
+      for (AgentId to = 0; to < n; ++to)
+        if (to != k && !(m == k && to == k + 1)) p.drop(m, k, to);
+  return p;
+}
+
+TEST(UnionDeltaTest, WireMixAtN16MatchesPerReceiverUpdate) {
+  // The four wire-mix kinds: failure-free, sampled sending omissions,
+  // silent agents with unanimous preference 1, and the hidden 0-chain with
+  // init_0 = 0.
+  constexpr int n = 16;
+  constexpr int t = 4;
+  Rng rng(1301);
+  const std::vector<Value> ones(n, Value::one);
+  std::vector<Value> one_zero = ones;
+  one_zero[0] = Value::zero;
+  AgentSet silent;
+  while (silent.size() < t) silent.insert(static_cast<AgentId>(rng.below(n)));
+  std::vector<std::pair<FailurePattern, std::vector<Value>>> worlds;
+  worlds.emplace_back(FailurePattern::failure_free(n),
+                      sample_preferences(n, rng));
+  for (int k = 0; k < 2; ++k)
+    worlds.emplace_back(sample_adversary(n, t, t + 2, 0.3, rng),
+                        sample_preferences(n, rng));
+  worlds.emplace_back(silent_agents_pattern(n, silent, t + 3), ones);
+  worlds.emplace_back(hidden_chain(n, t, t + 3), one_zero);
+  ReceivedSetTally tally;
+  expect_union_delta_matches_reference(POpt(n, t), t, worlds, "wire mix",
+                                       tally);
+  EXPECT_GT(tally.split_rounds, 0u);
+  EXPECT_GT(tally.shared_rounds, 0u);
+}
+
+TEST(UnionDeltaTest, GoReceiveDropsGiveDistinctReceivedSets) {
+  // GO(t) receive drops make receivers hear different sender sets, so the
+  // δ builds several unions per round; P_opt_go runs on the result.
+  constexpr int n = 6;
+  constexpr int t = 2;
+  Rng rng(1302);
+  std::vector<std::pair<FailurePattern, std::vector<Value>>> worlds;
+  for (int k = 0; k < 8; ++k)
+    worlds.emplace_back(sample_go_adversary(n, t, t + 3, 0.3, 0.5, rng),
+                        sample_preferences(n, rng));
+  ReceivedSetTally tally;
+  expect_union_delta_matches_reference(POptGo(n, t), t, worlds, "GO(t)",
+                                       tally);
+  EXPECT_GT(tally.split_rounds, 0u);
+  EXPECT_GT(tally.shared_rounds, 0u);
+  EXPECT_GT(tally.distinct, tally.rounds) << "some round must split";
+}
+
+TEST(UnionDeltaTest, AdaptiveStrategyOverTheWireMatchesPerReceiverUpdate) {
+  // Seeded strategies through run_adaptive_workload: each instance's final
+  // states equal the per-receiver reference on its realized pattern, at 1
+  // and 4 workers, and the batch costs exactly Σ_R (|R| - 1) merges.
+  constexpr int n = 6;
+  constexpr int t = 2;
+  const FipExchange x(n);
+  const POpt p(n, t);
+  Rng rng(1303);
+  constexpr int kInstances = 8;
+  std::vector<std::vector<Value>> prefs;
+  std::vector<eba::Run<FipExchange>> refs;
+  std::uint64_t want_merges = 0;
+  for (int k = 0; k < kInstances; ++k) {
+    prefs.push_back(sample_preferences(n, rng));
+    auto strat = make_random_budget_strategy(n, t, FailureModel::general,
+                                             static_cast<std::uint64_t>(k));
+    const AdaptiveOutcome bare = run_adaptive(x, p, *strat, prefs.back(), t);
+    refs.push_back(
+        testing::reference_simulate(x, p, bare.realized, prefs.back(), t));
+    expect_records_equal(refs.back().record, bare.summary.record,
+                         "reference on the realized pattern");
+    for (const auto& delivered : refs.back().record.delivered)
+      want_merges += union_merges(delivered);
+  }
+  for (const int workers : {1, 4}) {
+    std::vector<AdaptiveInstanceSpec> specs;
+    for (int k = 0; k < kInstances; ++k)
+      specs.push_back({make_random_budget_strategy(
+                           n, t, FailureModel::general,
+                           static_cast<std::uint64_t>(k)),
+                       prefs[static_cast<std::size_t>(k)]});
+    WorkloadOptions opt;
+    opt.workers = workers;
+    const std::uint64_t before = x.graph_merges();
+    const auto pooled = run_adaptive_workload(x, p, std::span(specs), t, opt);
+    EXPECT_EQ(x.graph_merges() - before, want_merges) << workers << " workers";
+    ASSERT_EQ(pooled.instances.size(), specs.size());
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      const std::string what = "instance " + std::to_string(k) + ", " +
+                               std::to_string(workers) + " workers";
+      expect_records_equal(pooled.instances[k].record, refs[k].record, what);
+      EXPECT_EQ(pooled.instances[k].final_states, refs[k].states.back())
+          << what;
+    }
   }
 }
 
