@@ -7,11 +7,6 @@
 namespace eba {
 namespace {
 
-std::uint8_t action_byte(const Action& a) {
-  if (!a.is_decide()) return 0;
-  return a.value() == Value::zero ? 1 : 2;
-}
-
 std::uint64_t header_digest_of(const RunRecord& record, std::uint64_t key) {
   KeyedDigest64 d(key);
   d.u32(static_cast<std::uint32_t>(record.n));
@@ -55,9 +50,7 @@ std::uint64_t final_digest_of(const DecisionCertificate& cert,
   d.u64(cert.pattern_digest);
   d.u64(cert.evidence.empty() ? cert.header_digest
                               : cert.evidence.back().chain);
-  d.u8(cert.decided_value
-           ? (*cert.decided_value == Value::zero ? 1 : 2)
-           : 0);
+  d.u8(opt_value_tag(cert.decided_value));
   d.u32(static_cast<std::uint32_t>(cert.decided_round));
   return d.value();
 }
@@ -164,9 +157,7 @@ void encode_certificate(Writer& w, const DecisionCertificate& cert) {
     w.u64(link.evidence_digest);
     w.u64(link.chain);
   }
-  w.u8(cert.decided_value
-           ? (*cert.decided_value == Value::zero ? 1 : 2)
-           : 0);
+  w.u8(opt_value_tag(cert.decided_value));
   w.u32(static_cast<std::uint32_t>(cert.decided_round));
   w.u64(cert.final_digest);
 }
@@ -197,14 +188,13 @@ DecisionCertificate decode_certificate(Reader& r) {
     link.chain = r.u64();
     cert.evidence.push_back(link);
   }
-  const std::uint8_t tag = r.u8();
-  if (tag > 2) throw DecodeError(Kind::malformed, "bad decided-value tag");
-  if (tag != 0) cert.decided_value = tag == 1 ? Value::zero : Value::one;
+  cert.decided_value = opt_value_of(r.u8(), "decided-value");
   cert.decided_round = static_cast<int>(r.u32());
-  if (tag == 0 && cert.decided_round != -1)
+  if (!cert.decided_value && cert.decided_round != -1)
     throw DecodeError(Kind::malformed,
                       "undecided certificate carries a decision round");
-  if (tag != 0 && !(cert.decided_round >= 1 && cert.decided_round <= cert.rounds))
+  if (cert.decided_value &&
+      !(cert.decided_round >= 1 && cert.decided_round <= cert.rounds))
     throw DecodeError(Kind::malformed, "decision round outside the run");
   cert.final_digest = r.u64();
   return cert;

@@ -11,20 +11,6 @@ constexpr std::uint8_t kFrameHeader = 1;
 constexpr std::uint8_t kFrameRound = 2;
 constexpr std::uint8_t kFrameCertificate = 3;
 
-std::uint8_t action_byte(const Action& a) {
-  if (!a.is_decide()) return 0;
-  return a.value() == Value::zero ? 1 : 2;
-}
-
-Action action_of(std::uint8_t b) {
-  switch (b) {
-    case 0: return Action::noop();
-    case 1: return Action::decide(Value::zero);
-    case 2: return Action::decide(Value::one);
-    default: throw DecodeError(Kind::malformed, "bad action byte in round frame");
-  }
-}
-
 }  // namespace
 
 TraceWriter::TraceWriter(std::uint64_t instance_id, int n, int t,
@@ -33,35 +19,25 @@ TraceWriter::TraceWriter(std::uint64_t instance_id, int n, int t,
     : n_(n) {
   EBA_REQUIRE(n >= 1 && n <= kMaxAgents, "trace agent count out of range");
   EBA_REQUIRE(static_cast<int>(inits.size()) == n, "trace inits size mismatch");
-  for (char c : kTraceMagic) out_.push_back(static_cast<std::uint8_t>(c));
-  Writer v;
-  v.u32(key == 0 ? kTraceFormatVersion : kTraceFormatVersionKeyed);
-  const Bytes vb = v.take();
-  out_.insert(out_.end(), vb.begin(), vb.end());
-
+  write_preamble(out_, kTraceMagic,
+                 key == 0 ? kTraceFormatVersion : kTraceFormatVersionKeyed);
   Writer w;
   w.u64(instance_id);
   w.u32(static_cast<std::uint32_t>(n));
   w.u32(static_cast<std::uint32_t>(t));
-  w.word(nonfaulty.bits(), (n + 7) / 8);
-  for (Value init : inits) w.u8(static_cast<std::uint8_t>(to_int(init)));
+  encode_run_context(w, nonfaulty, inits);
   if (key != 0) w.u64(KeyedDigest64::key_check_word(key));
   write_frame(out_, kFrameHeader, w.take());
 }
 
-void TraceWriter::add_round(const std::vector<Action>& actions,
-                            const std::vector<AgentSet>& sent,
-                            const std::vector<AgentSet>& delivered) {
-  EBA_REQUIRE(static_cast<int>(actions.size()) == n_ &&
-                  static_cast<int>(sent.size()) == n_ &&
-                  static_cast<int>(delivered.size()) == n_,
+void TraceWriter::add_round(std::span<const Action> actions,
+                            std::span<const AgentSet> sent,
+                            std::span<const AgentSet> delivered) {
+  EBA_REQUIRE(static_cast<int>(actions.size()) == n_,
               "round planes must cover every agent");
-  const int row_bytes = (n_ + 7) / 8;
   Writer w;
   w.u32(static_cast<std::uint32_t>(rounds_ + 1));
-  for (const Action& a : actions) w.u8(action_byte(a));
-  for (const AgentSet& s : sent) w.word(s.bits(), row_bytes);
-  for (const AgentSet& s : delivered) w.word(s.bits(), row_bytes);
+  encode_round_planes(w, actions, sent, delivered);
   write_frame(out_, kFrameRound, w.take());
   rounds_ += 1;
 }
@@ -94,21 +70,9 @@ Bytes write_trace(const RunRecord& record, std::uint64_t instance_id,
 }
 
 TraceFile read_trace(const Bytes& bytes, std::uint64_t key) {
-  if (bytes.size() < 8)
-    throw DecodeError(Kind::truncated, "container shorter than its preamble");
-  for (std::size_t k = 0; k < 4; ++k)
-    if (bytes[k] != static_cast<std::uint8_t>(kTraceMagic[k]))
-      throw DecodeError(Kind::bad_magic, "not an EBTR trace container");
-  std::uint32_t version = 0;
-  for (int b = 0; b < 4; ++b)
-    version |= static_cast<std::uint32_t>(bytes[4 + static_cast<std::size_t>(b)])
-               << (8 * b);
-  if (version != kTraceFormatVersion && version != kTraceFormatVersionKeyed)
-    throw DecodeError(Kind::bad_version,
-                      "trace version " + std::to_string(version) +
-                          " (this build reads versions " +
-                          std::to_string(kTraceFormatVersion) + " and " +
-                          std::to_string(kTraceFormatVersionKeyed) + ")");
+  const std::uint32_t version =
+      read_preamble(bytes, kTraceMagic, kTraceFormatVersion,
+                    kTraceFormatVersionKeyed, "EBTR trace container");
   if (version == kTraceFormatVersion && key != 0)
     throw DecodeError(Kind::key_mismatch,
                       "a key was supplied but the trace is unkeyed");
@@ -118,11 +82,9 @@ TraceFile read_trace(const Bytes& bytes, std::uint64_t key) {
 
   TraceFile trace;
   trace.version = version;
-  std::size_t pos = 8;
+  std::size_t pos = kPreambleBytes;
   bool have_header = false;
   bool have_certificate = false;
-  int row_bytes = 0;
-  std::uint64_t full = 0;
 
   while (pos < bytes.size()) {
     if (have_certificate)
@@ -140,18 +102,7 @@ TraceFile read_trace(const Bytes& bytes, std::uint64_t key) {
         if (!(trace.record.n >= 1 && trace.record.n <= kMaxAgents) ||
             trace.record.t < 0 || trace.record.t >= trace.record.n)
           throw DecodeError(Kind::malformed, "bad trace header (n, t)");
-        row_bytes = (trace.record.n + 7) / 8;
-        full = AgentSet::all(trace.record.n).bits();
-        const std::uint64_t nonfaulty = r.word(row_bytes);
-        if ((nonfaulty & ~full) != 0)
-          throw DecodeError(Kind::malformed,
-                            "nonfaulty set outside the population");
-        trace.record.nonfaulty = AgentSet(nonfaulty);
-        for (int i = 0; i < trace.record.n; ++i) {
-          const std::uint8_t b = r.u8();
-          if (b > 1) throw DecodeError(Kind::malformed, "bad init byte");
-          trace.record.inits.push_back(value_of(b));
-        }
+        decode_run_context(r, trace.record.n, trace.record);
         if (version == kTraceFormatVersionKeyed &&
             r.u64() != KeyedDigest64::key_check_word(key))
           throw DecodeError(Kind::key_mismatch,
@@ -168,32 +119,11 @@ TraceFile read_trace(const Bytes& bytes, std::uint64_t key) {
           throw DecodeError(Kind::malformed,
                             "round frames out of order at round " +
                                 std::to_string(round));
-        const int n = trace.record.n;
-        std::vector<Action> actions;
-        actions.reserve(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) actions.push_back(action_of(r.u8()));
-        std::vector<AgentSet> sent;
-        sent.reserve(static_cast<std::size_t>(n));
-        for (AgentId i = 0; i < n; ++i) {
-          const std::uint64_t row = r.word(row_bytes);
-          if ((row & ~full) != 0 || (row >> i) & 1u)
-            throw DecodeError(Kind::malformed,
-                              "sent row outside the population");
-          sent.push_back(AgentSet(row));
-        }
-        std::vector<AgentSet> delivered;
-        delivered.reserve(static_cast<std::size_t>(n));
-        for (AgentId i = 0; i < n; ++i) {
-          const std::uint64_t row = r.word(row_bytes);
-          if ((row & ~sent[static_cast<std::size_t>(i)].bits()) != 0)
-            throw DecodeError(Kind::malformed,
-                              "delivered row not a subset of sent");
-          delivered.push_back(AgentSet(row));
-        }
-        trace.record.actions.push_back(std::move(actions));
-        trace.record.sent.push_back(std::move(sent));
-        trace.record.delivered.push_back(std::move(delivered));
-        trace.record.rounds += 1;
+        RunRecord& rec = trace.record;
+        decode_round_planes(r, rec.n, rec.actions.emplace_back(),
+                            rec.sent.emplace_back(),
+                            rec.delivered.emplace_back());
+        rec.rounds += 1;
         break;
       }
       case kFrameCertificate: {

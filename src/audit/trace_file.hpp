@@ -13,8 +13,9 @@
 //                       (version 2 appends u64 key_check — the key's
 //                       fingerprint, so a wrong key is rejected at the
 //                       header as DecodeError::Kind::key_mismatch)
-//   kind 2 ROUND        u32 round (1-based, consecutive), n × u8 actions,
-//                       n × word sent, n × word delivered
+//   kind 2 ROUND        u32 round (1-based, consecutive), then the round's
+//                       planes: n × u8 actions, n × word sent, n × word
+//                       delivered (net/serialize.hpp encode_round_planes)
 //   kind 3 CERTIFICATE  encode_certificate payload (audit/certificate.hpp)
 //
 // Exactly one HEADER frame (first), then the ROUND frames in order, then
@@ -30,6 +31,7 @@
 // version-skewed inputs come back as diagnostics, never UB.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,20 +57,15 @@ class TraceWriter {
               const std::vector<Value>& inits, std::uint64_t key = 0);
 
   /// Appends round `rounds_written()+1`'s planes.
-  void add_round(const std::vector<Action>& actions,
-                 const std::vector<AgentSet>& sent,
-                 const std::vector<AgentSet>& delivered);
+  void add_round(std::span<const Action> actions,
+                 std::span<const AgentSet> sent,
+                 std::span<const AgentSet> delivered);
 
   /// Appends every record round in [from_round, record.rounds). Used to
   /// re-open a trace from a restored checkpoint after a crash.
   void add_record_rounds(const RunRecord& record, int from_round = 0);
 
   [[nodiscard]] int rounds_written() const { return rounds_; }
-
-  /// The container bytes accumulated so far (header + rounds, certificate
-  /// pending). FileTraceWriter (store/file_trace.hpp) streams the growing
-  /// prefix of exactly these bytes to disk.
-  [[nodiscard]] const Bytes& bytes_so_far() const { return out_; }
 
   /// Appends the certificate frame and returns the finished container.
   /// The writer is spent afterwards.

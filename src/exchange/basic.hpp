@@ -3,7 +3,8 @@
 // Like E_min, but an undecided agent with initial preference 1 and jd = ⊥
 // additionally broadcasts (init, 1) every round, and local states carry
 // #1 — the number of (init, 1) messages received in the last round
-// (including the agent's own; see DESIGN.md on self-delivery).
+// (including the agent's own; see the "Self-delivery" row of
+// docs/FAILURE_MODELS.md).
 #pragma once
 
 #include <cstddef>

@@ -16,7 +16,8 @@
 //
 // A message is delivered iff neither plane drops it. In SO(t) the receive
 // plane is empty and at most t agents are faulty; in GO(t) both planes are
-// in play. Self-delivery always succeeds in both models (see DESIGN.md).
+// in play. Self-delivery always succeeds in both models (see the
+// "Self-delivery" row of docs/FAILURE_MODELS.md).
 //
 // Drops are stored explicitly for a finite prefix of rounds; beyond the
 // stored prefix every message is delivered. This is without loss of

@@ -43,7 +43,7 @@ BusPool::BroadcastRound BusPool::filter_round(
   // mutex in acquire/release orders successive owners), and this touches
   // only per-slot state.
   EBA_REQUIRE(id < slots_.size() && slots_[id].busy,
-              "exchange_round on a slot that is not in use");
+              "filter_round on a slot that is not in use");
   Slot& slot = slots_[id];
   const FailurePattern& alpha = *slot.alpha;
   const int n = alpha.n();

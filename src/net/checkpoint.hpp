@@ -68,11 +68,7 @@ template <ExchangeProtocol X, class P>
   for (char c : adversary_state) w.u8(static_cast<std::uint8_t>(c));
 
   Bytes out;
-  for (char c : kCheckpointMagic) out.push_back(static_cast<std::uint8_t>(c));
-  Writer v;
-  v.u32(kCheckpointFormatVersion);
-  const Bytes vb = v.take();
-  out.insert(out.end(), vb.begin(), vb.end());
+  write_preamble(out, kCheckpointMagic, kCheckpointFormatVersion);
   write_frame(out, detail::kCheckpointFrame, w.take());
   return out;
 }
@@ -87,21 +83,9 @@ template <ExchangeProtocol X, class P>
     const X& x, const P& act, const Bytes& bytes,
     TraceSink<X>* sink = nullptr, std::string* adversary_state = nullptr) {
   using Kind = DecodeError::Kind;
-  if (bytes.size() < 8)
-    throw DecodeError(Kind::truncated, "checkpoint shorter than its preamble");
-  for (std::size_t k = 0; k < 4; ++k)
-    if (bytes[k] != static_cast<std::uint8_t>(kCheckpointMagic[k]))
-      throw DecodeError(Kind::bad_magic, "not an EBCK checkpoint container");
-  std::uint32_t version = 0;
-  for (int b = 0; b < 4; ++b)
-    version |= static_cast<std::uint32_t>(bytes[4 + static_cast<std::size_t>(b)])
-               << (8 * b);
-  if (version != kCheckpointFormatVersion)
-    throw DecodeError(Kind::bad_version,
-                      "checkpoint version " + std::to_string(version) +
-                          " (this build reads version " +
-                          std::to_string(kCheckpointFormatVersion) + ")");
-  std::size_t pos = 8;
+  (void)read_preamble(bytes, kCheckpointMagic, kCheckpointFormatVersion,
+                      kCheckpointFormatVersion, "EBCK checkpoint container");
+  std::size_t pos = kPreambleBytes;
   const Frame frame = read_frame(bytes, pos);
   if (frame.kind != detail::kCheckpointFrame)
     throw DecodeError(Kind::malformed, "unexpected checkpoint frame kind");

@@ -12,31 +12,28 @@ using Kind = DecodeError::Kind;
   throw DecodeError(kind, what);
 }
 
-/// Decoded optional<Value> tag: 0 = unset, 1 = zero, 2 = one.
-std::uint8_t opt_value_tag(const std::optional<Value>& v) {
-  if (!v) return 0;
-  return *v == Value::zero ? 1 : 2;
-}
-
-std::optional<Value> opt_value_of(std::uint8_t tag, const char* field) {
-  switch (tag) {
-    case 0: return std::nullopt;
-    case 1: return Value::zero;
-    case 2: return Value::one;
-    default: reject(Kind::malformed, std::string("bad ") + field + " tag");
-  }
-}
-
 }  // namespace
 
-void Writer::u32(std::uint32_t v) {
+void put_u32(Bytes& out, std::uint32_t v) {
   for (int shift = 0; shift < 32; shift += 8)
-    out_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
+    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
 }
 
-void Writer::u64(std::uint64_t v) {
+void put_u64(Bytes& out, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8)
-    out_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
+    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
+}
+
+std::uint32_t get_u32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int b = 0; b < 4; ++b) v |= static_cast<std::uint32_t>(p[b]) << (8 * b);
+  return v;
+}
+
+std::uint64_t get_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int b = 0; b < 8; ++b) v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
+  return v;
 }
 
 std::uint8_t Reader::u8() {
@@ -71,7 +68,35 @@ std::uint64_t Reader::word(int nbytes) {
   return v;
 }
 
-// -- CRC32 and frames --------------------------------------------------------
+// -- Container preamble, CRC32 and frames ------------------------------------
+
+void write_preamble(Bytes& out, const char (&magic)[4], std::uint32_t version) {
+  for (char c : magic) out.push_back(static_cast<std::uint8_t>(c));
+  put_u32(out, version);
+}
+
+std::uint32_t read_preamble(const Bytes& bytes, const char (&magic)[4],
+                            std::uint32_t min_version,
+                            std::uint32_t max_version, const char* what) {
+  if (bytes.size() < kPreambleBytes)
+    reject(Kind::truncated, std::string(what) + " shorter than its preamble");
+  for (std::size_t k = 0; k < 4; ++k)
+    if (bytes[k] != static_cast<std::uint8_t>(magic[k]))
+      reject(Kind::bad_magic, std::string("not an ") + what);
+  const std::uint32_t version = get_u32(bytes.data() + 4);
+  if (version < min_version || version > max_version) {
+    std::string msg = what;
+    msg += " version ";
+    msg += std::to_string(version);
+    msg += " (this build reads versions ";
+    msg += std::to_string(min_version);
+    msg += "..";
+    msg += std::to_string(max_version);
+    msg += ")";
+    reject(Kind::bad_version, msg);
+  }
+  return version;
+}
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
   static const std::array<std::uint32_t, 256> table = [] {
@@ -92,17 +117,10 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
 
 void write_frame(Bytes& out, std::uint8_t kind, const Bytes& payload) {
   const std::size_t start = out.size();
-  Writer w;
-  w.u8(kind);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  const Bytes head = w.take();
-  out.insert(out.end(), head.begin(), head.end());
+  out.push_back(kind);
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(out.data() + start, out.size() - start);
-  Writer tail;
-  tail.u32(crc);
-  const Bytes t = tail.take();
-  out.insert(out.end(), t.begin(), t.end());
+  put_u32(out, crc32(out.data() + start, out.size() - start));
 }
 
 Frame read_frame(const Bytes& buf, std::size_t& pos) {
@@ -110,10 +128,7 @@ Frame read_frame(const Bytes& buf, std::size_t& pos) {
     reject(Kind::truncated, "frame header ends at byte " + std::to_string(pos));
   const std::size_t start = pos;
   const std::uint8_t kind = buf[pos];
-  std::uint32_t len = 0;
-  for (int b = 0; b < 4; ++b)
-    len |= static_cast<std::uint32_t>(buf[pos + 1 + static_cast<std::size_t>(b)])
-           << (8 * b);
+  const std::uint32_t len = get_u32(buf.data() + pos + 1);
   pos += 5;
   if (buf.size() - pos < static_cast<std::size_t>(len) + 4)
     reject(Kind::truncated,
@@ -125,10 +140,7 @@ Frame read_frame(const Bytes& buf, std::size_t& pos) {
                    buf.begin() + static_cast<std::ptrdiff_t>(pos + len));
   pos += len;
   const std::uint32_t want = crc32(buf.data() + start, 5 + len);
-  std::uint32_t got = 0;
-  for (int b = 0; b < 4; ++b)
-    got |= static_cast<std::uint32_t>(buf[pos + static_cast<std::size_t>(b)])
-           << (8 * b);
+  const std::uint32_t got = get_u32(buf.data() + pos);
   pos += 4;
   if (got != want)
     reject(Kind::crc_mismatch, "frame kind " + std::to_string(kind) +
@@ -189,7 +201,7 @@ void decode_message(Reader& r, AuthMsg& m) {
 // directly — 2 bits per edge on the wire, matching bit_size()'s Prop 8.1
 // accounting — instead of the old byte-per-label walk.
 void encode_graph(Writer& w, const CommGraph& g) {
-  const int row_bytes = (g.n() + 7) / 8;
+  const int row_bytes = plane_row_bytes(g.n());
   w.u32(static_cast<std::uint32_t>(g.n()));
   w.u32(static_cast<std::uint32_t>(g.time()));
   for (int m = 0; m < g.time(); ++m)
@@ -207,7 +219,7 @@ CommGraph decode_graph(Reader& r) {
   if (!(n >= 1 && n <= kMaxAgents && time >= 0 && time <= 4096))
     reject(Kind::malformed, "bad graph header (n=" + std::to_string(n) +
                                 ", time=" + std::to_string(time) + ")");
-  const int row_bytes = (n + 7) / 8;
+  const int row_bytes = plane_row_bytes(n);
   const std::uint64_t full = AgentSet::all(n).bits();
   CommGraph g = CommGraph::blank(n, time);
   for (int m = 0; m < time; ++m)
@@ -235,11 +247,11 @@ void decode_message(Reader& r, std::shared_ptr<const CommGraph>& m) {
   m = std::make_shared<const CommGraph>(decode_graph(r));
 }
 
-// -- Failure patterns and run records ----------------------------------------
+// -- Failure patterns --------------------------------------------------------
 
 void encode_pattern(Writer& w, const FailurePattern& alpha) {
   const int n = alpha.n();
-  const int row_bytes = (n + 7) / 8;
+  const int row_bytes = plane_row_bytes(n);
   w.u32(static_cast<std::uint32_t>(n));
   w.word(alpha.nonfaulty().bits(), row_bytes);
   w.u32(static_cast<std::uint32_t>(alpha.recorded_rounds()));
@@ -256,78 +268,151 @@ FailurePattern decode_pattern(Reader& r) {
   const int n = static_cast<int>(r.u32());
   if (!(n >= 1 && n <= kMaxAgents))
     reject(Kind::malformed, "bad pattern agent count " + std::to_string(n));
-  const int row_bytes = (n + 7) / 8;
-  const std::uint64_t full = AgentSet::all(n).bits();
-  const std::uint64_t nonfaulty = r.word(row_bytes);
-  if ((nonfaulty & ~full) != 0)
+  const std::uint64_t nonfaulty = r.word(plane_row_bytes(n));
+  if ((nonfaulty & ~AgentSet::all(n).bits()) != 0)
     reject(Kind::malformed, "nonfaulty set outside the population");
   FailurePattern alpha(n, AgentSet(nonfaulty));
 
-  const int send_rounds = static_cast<int>(r.u32());
-  if (send_rounds < 0 || send_rounds > 4096)
-    reject(Kind::malformed, "bad send-plane round count");
-  for (int m = 0; m < send_rounds; ++m)
-    for (AgentId from = 0; from < n; ++from) {
-      const std::uint64_t row = r.word(row_bytes);
-      if (row == 0) continue;
-      if ((row & ~full) != 0 || (row >> from) & 1u)
-        reject(Kind::malformed, "send-drop row outside the population");
-      if (alpha.nonfaulty().contains(from))
-        reject(Kind::malformed, "send drops from a nonfaulty sender");
-      for (AgentId to : AgentSet(row)) alpha.drop(m, from, to);
+  // Both planes: a round count, then per round one drop row per owning
+  // agent (sender for the send plane, receiver for the receive plane). Only
+  // faulty agents may own drops.
+  const auto decode_plane = [&](const char* plane, auto&& drop) {
+    const int rounds = static_cast<int>(r.u32());
+    if (rounds < 0 || rounds > 4096)
+      reject(Kind::malformed, std::string("bad ") + plane +
+                                  "-plane round count");
+    for (int m = 0; m < rounds; ++m) {
+      const std::vector<AgentSet> rows =
+          decode_plane_rows(r, n, /*forbid_self=*/true);
+      for (AgentId owner = 0; owner < n; ++owner) {
+        const AgentSet row = rows[static_cast<std::size_t>(owner)];
+        if (row.empty()) continue;
+        if (alpha.nonfaulty().contains(owner))
+          reject(Kind::malformed,
+                 std::string(plane) + " drops owned by a nonfaulty agent");
+        for (AgentId other : row) drop(m, owner, other);
+      }
     }
-
-  const int recv_rounds = static_cast<int>(r.u32());
-  if (recv_rounds < 0 || recv_rounds > 4096)
-    reject(Kind::malformed, "bad receive-plane round count");
-  for (int m = 0; m < recv_rounds; ++m)
-    for (AgentId to = 0; to < n; ++to) {
-      const std::uint64_t row = r.word(row_bytes);
-      if (row == 0) continue;
-      if ((row & ~full) != 0 || (row >> to) & 1u)
-        reject(Kind::malformed, "receive-drop row outside the population");
-      if (alpha.nonfaulty().contains(to))
-        reject(Kind::malformed, "receive drops at a nonfaulty receiver");
-      for (AgentId from : AgentSet(row)) alpha.drop_receive(m, from, to);
-    }
+  };
+  decode_plane("send", [&](int m, AgentId from, AgentId to) {
+    alpha.drop(m, from, to);
+  });
+  decode_plane("receive", [&](int m, AgentId to, AgentId from) {
+    alpha.drop_receive(m, from, to);
+  });
   return alpha;
 }
 
-namespace {
+// -- Round planes ------------------------------------------------------------
 
-std::uint8_t action_byte(const Action& a) {
-  if (!a.is_decide()) return 0;
-  return a.value() == Value::zero ? 1 : 2;
+std::uint8_t opt_value_tag(const std::optional<Value>& v) {
+  if (!v) return 0;
+  return *v == Value::zero ? 1 : 2;
 }
 
-Action action_of(std::uint8_t b) {
-  switch (b) {
-    case 0: return Action::noop();
-    case 1: return Action::decide(Value::zero);
-    case 2: return Action::decide(Value::one);
-    default: reject(Kind::malformed, "bad action byte");
+std::optional<Value> opt_value_of(std::uint8_t tag, const char* field) {
+  switch (tag) {
+    case 0: return std::nullopt;
+    case 1: return Value::zero;
+    case 2: return Value::one;
+    default: reject(Kind::malformed, std::string("bad ") + field + " tag");
   }
 }
 
-}  // namespace
+std::uint8_t action_byte(const Action& a) {
+  return a.is_decide() ? opt_value_tag(a.value()) : 0;
+}
+
+Action action_of(std::uint8_t b) {
+  const std::optional<Value> v = opt_value_of(b, "action");
+  return v ? Action::decide(*v) : Action::noop();
+}
+
+void encode_actions(Writer& w, std::span<const Action> actions) {
+  for (const Action& a : actions) w.u8(action_byte(a));
+}
+
+std::vector<Action> decode_actions(Reader& r, int n) {
+  std::vector<Action> actions;
+  actions.reserve(static_cast<std::size_t>(n));
+  for (AgentId i = 0; i < n; ++i) actions.push_back(action_of(r.u8()));
+  return actions;
+}
+
+void encode_plane_rows(Writer& w, std::span<const AgentSet> rows) {
+  const int row_bytes = plane_row_bytes(static_cast<int>(rows.size()));
+  for (const AgentSet& s : rows) w.word(s.bits(), row_bytes);
+}
+
+std::vector<AgentSet> decode_plane_rows(Reader& r, int n, bool forbid_self) {
+  const int row_bytes = plane_row_bytes(n);
+  const std::uint64_t full = AgentSet::all(n).bits();
+  std::vector<AgentSet> rows;
+  rows.reserve(static_cast<std::size_t>(n));
+  for (AgentId i = 0; i < n; ++i) {
+    const std::uint64_t row = r.word(row_bytes);
+    if ((row & ~full) != 0 || (forbid_self && ((row >> i) & 1u)))
+      reject(Kind::malformed, "plane row outside the population");
+    rows.push_back(AgentSet(row));
+  }
+  return rows;
+}
+
+void encode_round_planes(Writer& w, std::span<const Action> actions,
+                         std::span<const AgentSet> sent,
+                         std::span<const AgentSet> delivered) {
+  EBA_REQUIRE(sent.size() == actions.size() &&
+                  delivered.size() == actions.size(),
+              "round planes must cover every agent");
+  encode_actions(w, actions);
+  encode_plane_rows(w, sent);
+  encode_plane_rows(w, delivered);
+}
+
+void decode_round_planes(Reader& r, int n, std::vector<Action>& actions,
+                         std::vector<AgentSet>& sent,
+                         std::vector<AgentSet>& delivered) {
+  actions = decode_actions(r, n);
+  sent = decode_plane_rows(r, n, /*forbid_self=*/true);
+  delivered = decode_plane_rows(r, n, /*forbid_self=*/false);
+  for (std::size_t i = 0; i < delivered.size(); ++i)
+    if (!delivered[i].subset_of(sent[i]))
+      reject(Kind::malformed, "delivered row not a subset of sent");
+}
+
+void encode_run_context(Writer& w, AgentSet nonfaulty,
+                        std::span<const Value> inits) {
+  w.word(nonfaulty.bits(), plane_row_bytes(static_cast<int>(inits.size())));
+  for (Value v : inits) w.u8(static_cast<std::uint8_t>(to_int(v)));
+}
+
+void decode_run_context(Reader& r, int n, RunRecord& record) {
+  const std::uint64_t nonfaulty = r.word(plane_row_bytes(n));
+  if ((nonfaulty & ~AgentSet::all(n).bits()) != 0)
+    reject(Kind::malformed, "nonfaulty set outside the population");
+  record.nonfaulty = AgentSet(nonfaulty);
+  record.inits.clear();
+  record.inits.reserve(static_cast<std::size_t>(n));
+  for (AgentId i = 0; i < n; ++i) {
+    const std::uint8_t b = r.u8();
+    if (b > 1) reject(Kind::malformed, "bad init byte");
+    record.inits.push_back(value_of(b));
+  }
+}
+
+// -- Run records -------------------------------------------------------------
 
 void encode_record(Writer& w, const RunRecord& record) {
-  const int n = record.n;
-  const int row_bytes = (n + 7) / 8;
-  w.u32(static_cast<std::uint32_t>(n));
+  EBA_REQUIRE(static_cast<int>(record.inits.size()) == record.n,
+              "record inits must cover every agent");
+  w.u32(static_cast<std::uint32_t>(record.n));
   w.u32(static_cast<std::uint32_t>(record.t));
   w.u32(static_cast<std::uint32_t>(record.rounds));
-  w.word(record.nonfaulty.bits(), row_bytes);
-  for (Value v : record.inits) w.u8(static_cast<std::uint8_t>(to_int(v)));
+  encode_run_context(w, record.nonfaulty, record.inits);
   for (int m = 0; m < record.rounds; ++m) {
     const std::size_t um = static_cast<std::size_t>(m);
-    for (AgentId i = 0; i < n; ++i)
-      w.u8(action_byte(record.actions[um][static_cast<std::size_t>(i)]));
-    for (AgentId i = 0; i < n; ++i)
-      w.word(record.sent[um][static_cast<std::size_t>(i)].bits(), row_bytes);
-    for (AgentId i = 0; i < n; ++i)
-      w.word(record.delivered[um][static_cast<std::size_t>(i)].bits(),
-             row_bytes);
+    encode_round_planes(w, record.actions[um], record.sent[um],
+                        record.delivered[um]);
   }
 }
 
@@ -342,46 +427,13 @@ RunRecord decode_record(Reader& r) {
     reject(Kind::malformed, "bad record failure bound");
   if (!(record.rounds >= 0 && record.rounds <= 4096))
     reject(Kind::malformed, "bad record round count");
-  const int n = record.n;
-  const int row_bytes = (n + 7) / 8;
-  const std::uint64_t full = AgentSet::all(n).bits();
-  const std::uint64_t nonfaulty = r.word(row_bytes);
-  if ((nonfaulty & ~full) != 0)
-    reject(Kind::malformed, "record nonfaulty set outside the population");
-  record.nonfaulty = AgentSet(nonfaulty);
-  record.inits.reserve(static_cast<std::size_t>(n));
-  for (AgentId i = 0; i < n; ++i) {
-    const std::uint8_t b = r.u8();
-    if (b > 1) reject(Kind::malformed, "bad init byte");
-    record.inits.push_back(value_of(b));
-  }
-  record.actions.reserve(static_cast<std::size_t>(record.rounds));
-  record.sent.reserve(static_cast<std::size_t>(record.rounds));
-  record.delivered.reserve(static_cast<std::size_t>(record.rounds));
-  for (int m = 0; m < record.rounds; ++m) {
-    std::vector<Action> actions;
-    actions.reserve(static_cast<std::size_t>(n));
-    for (AgentId i = 0; i < n; ++i) actions.push_back(action_of(r.u8()));
-    std::vector<AgentSet> sent;
-    sent.reserve(static_cast<std::size_t>(n));
-    for (AgentId i = 0; i < n; ++i) {
-      const std::uint64_t row = r.word(row_bytes);
-      if ((row & ~full) != 0 || (row >> i) & 1u)
-        reject(Kind::malformed, "sent row outside the population");
-      sent.push_back(AgentSet(row));
-    }
-    std::vector<AgentSet> delivered;
-    delivered.reserve(static_cast<std::size_t>(n));
-    for (AgentId i = 0; i < n; ++i) {
-      const std::uint64_t row = r.word(row_bytes);
-      if ((row & ~sent[static_cast<std::size_t>(i)].bits()) != 0)
-        reject(Kind::malformed, "delivered row not a subset of sent");
-      delivered.push_back(AgentSet(row));
-    }
-    record.actions.push_back(std::move(actions));
-    record.sent.push_back(std::move(sent));
-    record.delivered.push_back(std::move(delivered));
-  }
+  decode_run_context(r, record.n, record);
+  record.actions.resize(static_cast<std::size_t>(record.rounds));
+  record.sent.resize(static_cast<std::size_t>(record.rounds));
+  record.delivered.resize(static_cast<std::size_t>(record.rounds));
+  for (std::size_t m = 0; m < record.actions.size(); ++m)
+    decode_round_planes(r, record.n, record.actions[m], record.sent[m],
+                        record.delivered[m]);
   return record;
 }
 

@@ -4,8 +4,9 @@
 // real byte payloads. Each exchange's message alphabet gets an encoder and a
 // decoder; CommGraph payloads carry their full label matrix. On top of the
 // message codecs this layer provides the building blocks the durability
-// subsystem (src/audit, net/checkpoint.hpp) shares: failure-pattern,
-// run-record and exchange-state codecs, CRC32, and CRC-guarded frames.
+// subsystem (src/audit, src/store, net/checkpoint.hpp) shares: the container
+// preamble, CRC32 and CRC-guarded frames, the round-plane codec, and the
+// failure-pattern, run-record and exchange-state codecs.
 //
 // Every decode failure on untrusted bytes throws `DecodeError` — a typed
 // error distinct from EBA_REQUIRE's std::logic_error, which stays reserved
@@ -15,6 +16,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -73,11 +76,19 @@ class DecodeError : public std::runtime_error {
   Kind kind_;
 };
 
+/// Little-endian fixed-width integers appended to / read from raw bytes.
+/// Writer and Reader build on these; so do the codecs that index into a
+/// buffer directly (frames, preambles, the journal's record header).
+void put_u32(Bytes& out, std::uint32_t v);
+void put_u64(Bytes& out, std::uint64_t v);
+[[nodiscard]] std::uint32_t get_u32(const std::uint8_t* p);
+[[nodiscard]] std::uint64_t get_u64(const std::uint8_t* p);
+
 class Writer {
  public:
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u32(std::uint32_t v) { put_u32(out_, v); }
+  void u64(std::uint64_t v) { put_u64(out_, v); }
   /// Low `nbytes` bytes of `v`, little-endian. Used for the packed n-bit
   /// rows of communication graphs (nbytes = ceil(n / 8)).
   void word(std::uint64_t v, int nbytes);
@@ -103,7 +114,22 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// -- CRC32 and frames --------------------------------------------------------
+// -- Container preamble, CRC32 and frames ------------------------------------
+
+/// Every durable container (EBTR traces, EBCK checkpoints, the EBMF journal
+/// manifest) opens with four magic bytes and a u32 format version.
+inline constexpr std::size_t kPreambleBytes = 8;
+
+void write_preamble(Bytes& out, const char (&magic)[4], std::uint32_t version);
+
+/// Checks the magic and returns the version, which must lie in
+/// [min_version, max_version]; `what` names the container in diagnostics.
+/// Throws DecodeError (truncated, bad_magic, bad_version).
+[[nodiscard]] std::uint32_t read_preamble(const Bytes& bytes,
+                                          const char (&magic)[4],
+                                          std::uint32_t min_version,
+                                          std::uint32_t max_version,
+                                          const char* what);
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected). Guards every durable frame;
 /// detects all single-bit flips and all burst errors up to 32 bits.
@@ -153,6 +179,54 @@ void decode_message(Reader& r, AuthMsg& m);
 void encode_graph(Writer& w, const CommGraph& g);
 [[nodiscard]] CommGraph decode_graph(Reader& r);
 
+// -- Round planes ------------------------------------------------------------
+//
+// A run is fixed by each round's actions plus the adversary's sent and
+// delivered sets: the round's planes. EBCK records, EBTR ROUND frames,
+// RunLog DELTA/INTENT payloads and certificate digests all lay them out
+// through these codecs, so the byte layout is decided once.
+
+/// Packed bytes of one n-agent plane row: ceil(n / 8).
+[[nodiscard]] constexpr int plane_row_bytes(int n) { return (n + 7) / 8; }
+
+/// The tag byte of an optional binary value: 0 = unset, 1 = zero, 2 = one.
+[[nodiscard]] std::uint8_t opt_value_tag(const std::optional<Value>& v);
+/// Inverse of opt_value_tag; `field` names the value in diagnostics.
+[[nodiscard]] std::optional<Value> opt_value_of(std::uint8_t tag,
+                                                const char* field);
+
+/// The action byte: 0 = noop, 1 = decide(0), 2 = decide(1) — the tag of the
+/// decided value.
+[[nodiscard]] std::uint8_t action_byte(const Action& a);
+[[nodiscard]] Action action_of(std::uint8_t b);
+
+/// n action bytes.
+void encode_actions(Writer& w, std::span<const Action> actions);
+[[nodiscard]] std::vector<Action> decode_actions(Reader& r, int n);
+
+/// n packed plane rows, n = rows.size(). The decoder rejects a row outside
+/// the population and, with `forbid_self`, row i containing agent i.
+void encode_plane_rows(Writer& w, std::span<const AgentSet> rows);
+[[nodiscard]] std::vector<AgentSet> decode_plane_rows(Reader& r, int n,
+                                                      bool forbid_self);
+
+/// One round's planes: n action bytes, n sent rows, n delivered rows. The
+/// decoder rejects sent rows outside the population or holding the sender
+/// itself, and delivered rows that are not a subset of the sent row.
+void encode_round_planes(Writer& w, std::span<const Action> actions,
+                         std::span<const AgentSet> sent,
+                         std::span<const AgentSet> delivered);
+void decode_round_planes(Reader& r, int n, std::vector<Action>& actions,
+                         std::vector<AgentSet>& sent,
+                         std::vector<AgentSet>& delivered);
+
+/// The run context shared by run records and the EBTR header: the
+/// nonfaulty set as one plane row, then one init byte (0 or 1) per agent.
+/// The decoder fills `record.nonfaulty` and `record.inits` for n agents.
+void encode_run_context(Writer& w, AgentSet nonfaulty,
+                        std::span<const Value> inits);
+void decode_run_context(Reader& r, int n, RunRecord& record);
+
 // -- Failure patterns and run records ----------------------------------------
 
 /// Both planes of a failure pattern, chunked per-round word rows. The
@@ -162,9 +236,8 @@ void encode_graph(Writer& w, const CommGraph& g);
 void encode_pattern(Writer& w, const FailurePattern& alpha);
 [[nodiscard]] FailurePattern decode_pattern(Reader& r);
 
-/// The full protocol-agnostic run record: header, inits, and the per-round
-/// action / sent / delivered planes (actions one byte each, plane rows as
-/// packed words). delivered ⊆ sent is revalidated on decode.
+/// The full protocol-agnostic run record: n, t, rounds, the run context,
+/// then each round's planes (encode_round_planes).
 void encode_record(Writer& w, const RunRecord& record);
 [[nodiscard]] RunRecord decode_record(Reader& r);
 

@@ -215,6 +215,15 @@ class Stepper {
     if (sink_) sink_->on_states(0, states_);
   }
 
+  /// Both constructors borrow `x` and `act`, so a temporary exchange or
+  /// action protocol would dangle as soon as the full-expression ends.
+  template <class... Rest>
+  Stepper(X&&, const P&, Rest&&...) = delete;
+  template <class... Rest>
+  Stepper(const X&, P&&, Rest&&...) = delete;
+  template <class... Rest>
+  Stepper(X&&, P&&, Rest&&...) = delete;
+
   /// Resumes an instance from a mid-run cut (see ResumePoint): the stepper
   /// continues from `resume.time` exactly as if it had executed the recorded
   /// rounds itself — the differential tests in tests/test_recovery.cpp pin
@@ -324,8 +333,8 @@ class Stepper {
   /// Starts a round: computes every agent's action and the decide
   /// bookkeeping. Returns nullptr when the instance is done. After a
   /// non-null return the caller must complete the round with
-  /// finish_round() (or run_round_in_memory via step() is unavailable —
-  /// phases must not be mixed).
+  /// finish_round() before anything else; a step() in between re-enters
+  /// begin_round and fails its precondition (phases must not be mixed).
   [[nodiscard]] const std::vector<Action>* begin_round() {
     EBA_REQUIRE(!in_round_, "begin_round called twice without finish_round");
     if (done()) return nullptr;

@@ -12,36 +12,12 @@ namespace eba {
 namespace {
 
 constexpr std::uint8_t kRecordMagic[4] = {'E', 'B', 'J', 'R'};
-constexpr std::uint8_t kManifestMagic[4] = {'E', 'B', 'M', 'F'};
+constexpr char kManifestMagic[4] = {'E', 'B', 'M', 'F'};
 constexpr std::uint32_t kManifestVersion = 1;
 constexpr std::uint8_t kManifestFrame = 1;
 constexpr std::size_t kHeaderBytes = 4 + 8 + 1 + 4;  // magic, seq, kind, len
 constexpr std::size_t kTrailerBytes = 8 + 4;         // auth, crc
 constexpr std::uint32_t kMaxPayload = 1u << 28;
-
-void put_u32(Bytes& b, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    b.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
-
-void put_u64(Bytes& b, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    b.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
-
-[[nodiscard]] std::uint32_t get_u32(const Bytes& b, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(b[pos + i]) << (8 * i);
-  return v;
-}
-
-[[nodiscard]] std::uint64_t get_u64(const Bytes& b, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(b[pos + i]) << (8 * i);
-  return v;
-}
 
 [[nodiscard]] std::uint64_t auth_of(std::uint64_t key, std::uint64_t seq,
                                     std::uint8_t kind, const Bytes& payload) {
@@ -81,16 +57,16 @@ std::uint64_t scan_segment(const Bytes& data, const JournalOptions& opt,
       torn(DecodeError::Kind::bad_magic, "record magic damaged");
       break;
     }
-    const std::uint64_t seq = get_u64(data, off + 4);
+    const std::uint64_t seq = get_u64(data.data() + off + 4);
     const std::uint8_t kind = data[off + 12];
-    const std::uint32_t len = get_u32(data, off + 13);
+    const std::uint32_t len = get_u32(data.data() + off + 13);
     if (len > kMaxPayload || rem < kHeaderBytes + len + kTrailerBytes) {
       torn(DecodeError::Kind::truncated, "record body cut short");
       break;
     }
     const std::size_t crc_at = off + kHeaderBytes + len + 8;
     if (crc32(data.data() + off, kHeaderBytes + len + 8) !=
-        get_u32(data, crc_at)) {
+        get_u32(data.data() + crc_at)) {
       torn(DecodeError::Kind::crc_mismatch, "record checksum damaged");
       break;
     }
@@ -103,7 +79,7 @@ std::uint64_t scan_segment(const Bytes& data, const JournalOptions& opt,
     // CRC-valid but auth-bad is not a torn write — the record was written
     // under a different key. Hard error in every segment.
     if (auth_of(opt.key, seq, kind, payload) !=
-        get_u64(data, off + kHeaderBytes + len))
+        get_u64(data.data() + off + kHeaderBytes + len))
       throw DecodeError(DecodeError::Kind::key_mismatch,
                         "journal record written under a different key");
     out.push_back(JournalRecord{seq, kind, std::move(payload)});
@@ -138,8 +114,8 @@ void Journal::write_manifest() {
     put_u64(payload, seg_first_seq_[i]);
   }
 
-  Bytes out(kManifestMagic, kManifestMagic + 4);
-  put_u32(out, kManifestVersion);
+  Bytes out;
+  write_preamble(out, kManifestMagic, kManifestVersion);
   write_frame(out, kManifestFrame, payload);
 
   const std::string tmp = dir_ + "/MANIFEST.tmp";
@@ -169,14 +145,9 @@ Journal Journal::open(Vfs& vfs, const std::string& dir,
     throw DecodeError(DecodeError::Kind::missing_frame,
                       "journal manifest missing in " + dir);
   const Bytes mb = vfs.read(manifest_path);
-  if (mb.size() < 8 ||
-      !std::equal(kManifestMagic, kManifestMagic + 4, mb.begin()))
-    throw DecodeError(DecodeError::Kind::bad_magic,
-                      "manifest does not start with EBMF");
-  if (get_u32(mb, 4) != kManifestVersion)
-    throw DecodeError(DecodeError::Kind::bad_version,
-                      "manifest version unknown to this build");
-  std::size_t pos = 8;
+  (void)read_preamble(mb, kManifestMagic, kManifestVersion, kManifestVersion,
+                      "EBMF journal manifest");
+  std::size_t pos = kPreambleBytes;
   const Frame frame = read_frame(mb, pos);
   if (frame.kind != kManifestFrame)
     throw DecodeError(DecodeError::Kind::missing_frame,

@@ -5,21 +5,6 @@ namespace {
 
 using Kind = DecodeError::Kind;
 
-std::uint8_t action_byte(const Action& a) {
-  if (!a.is_decide()) return 0;
-  return a.value() == Value::zero ? 1 : 2;
-}
-
-Action action_of(std::uint8_t b) {
-  switch (b) {
-    case 0: return Action::noop();
-    case 1: return Action::decide(Value::zero);
-    case 2: return Action::decide(Value::one);
-    default:
-      throw DecodeError(Kind::malformed, "bad action byte in run log record");
-  }
-}
-
 /// Shared preamble of both payloads: round index and population size.
 std::pair<int, int> decode_round_n(Reader& r) {
   const int round = static_cast<int>(r.u32());
@@ -29,73 +14,34 @@ std::pair<int, int> decode_round_n(Reader& r) {
   return {round, n};
 }
 
-std::vector<Action> decode_actions(Reader& r, int n) {
-  std::vector<Action> actions;
-  actions.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) actions.push_back(action_of(r.u8()));
-  return actions;
-}
-
-std::vector<AgentSet> decode_rows(Reader& r, int n, bool forbid_self) {
-  const int row_bytes = (n + 7) / 8;
-  const std::uint64_t full = AgentSet::all(n).bits();
-  std::vector<AgentSet> rows;
-  rows.reserve(static_cast<std::size_t>(n));
-  for (AgentId i = 0; i < n; ++i) {
-    const std::uint64_t row = r.word(row_bytes);
-    if ((row & ~full) != 0 || (forbid_self && ((row >> i) & 1u)))
-      throw DecodeError(Kind::malformed,
-                        "run log plane row outside the population");
-    rows.push_back(AgentSet(row));
-  }
-  return rows;
-}
-
-void encode_rows(Writer& w, const std::vector<AgentSet>& rows, int n) {
-  const int row_bytes = (n + 7) / 8;
-  for (const AgentSet& s : rows) w.word(s.bits(), row_bytes);
+void encode_round_n(Writer& w, int round, std::size_t n) {
+  w.u32(static_cast<std::uint32_t>(round));
+  w.u32(static_cast<std::uint32_t>(n));
 }
 
 }  // namespace
 
 void encode_delta(Writer& w, const DeltaPayload& delta) {
-  const int n = static_cast<int>(delta.actions.size());
-  EBA_REQUIRE(static_cast<int>(delta.sent.size()) == n &&
-                  static_cast<int>(delta.delivered.size()) == n,
-              "delta planes must cover every agent");
-  w.u32(static_cast<std::uint32_t>(delta.round));
-  w.u32(static_cast<std::uint32_t>(n));
-  for (const Action& a : delta.actions) w.u8(action_byte(a));
-  encode_rows(w, delta.sent, n);
-  encode_rows(w, delta.delivered, n);
+  encode_round_n(w, delta.round, delta.actions.size());
+  encode_round_planes(w, delta.actions, delta.sent, delta.delivered);
 }
 
 DeltaPayload decode_delta(Reader& r) {
   DeltaPayload delta;
   const auto [round, n] = decode_round_n(r);
   delta.round = round;
-  delta.actions = decode_actions(r, n);
-  delta.sent = decode_rows(r, n, /*forbid_self=*/true);
-  delta.delivered = decode_rows(r, n, /*forbid_self=*/false);
-  for (int i = 0; i < n; ++i) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    if (!delta.delivered[ui].subset_of(delta.sent[ui]))
-      throw DecodeError(Kind::malformed,
-                        "delta delivered row not a subset of sent");
-  }
+  decode_round_planes(r, n, delta.actions, delta.sent, delta.delivered);
   return delta;
 }
 
 void encode_intent(Writer& w, const IntentPayload& intent) {
-  const int n = static_cast<int>(intent.actions.size());
-  EBA_REQUIRE(static_cast<int>(intent.dropped_send.size()) == n &&
-                  static_cast<int>(intent.dropped_receive.size()) == n,
+  EBA_REQUIRE(intent.dropped_send.size() == intent.actions.size() &&
+                  intent.dropped_receive.size() == intent.actions.size(),
               "intent planes must cover every agent");
-  w.u32(static_cast<std::uint32_t>(intent.round));
-  w.u32(static_cast<std::uint32_t>(n));
-  for (const Action& a : intent.actions) w.u8(action_byte(a));
-  encode_rows(w, intent.dropped_send, n);
-  encode_rows(w, intent.dropped_receive, n);
+  encode_round_n(w, intent.round, intent.actions.size());
+  encode_actions(w, intent.actions);
+  encode_plane_rows(w, intent.dropped_send);
+  encode_plane_rows(w, intent.dropped_receive);
 }
 
 IntentPayload decode_intent(Reader& r) {
@@ -103,8 +49,8 @@ IntentPayload decode_intent(Reader& r) {
   const auto [round, n] = decode_round_n(r);
   intent.round = round;
   intent.actions = decode_actions(r, n);
-  intent.dropped_send = decode_rows(r, n, /*forbid_self=*/true);
-  intent.dropped_receive = decode_rows(r, n, /*forbid_self=*/true);
+  intent.dropped_send = decode_plane_rows(r, n, /*forbid_self=*/true);
+  intent.dropped_receive = decode_plane_rows(r, n, /*forbid_self=*/true);
   return intent;
 }
 

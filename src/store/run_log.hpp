@@ -6,18 +6,21 @@
 //
 //   FULL_CHECKPOINT (1)  an EBCK container (net/checkpoint.hpp) verbatim —
 //                        the recovery root, written at the snapshot cadence.
-//   DELTA (2)            one completed round's planes (round index, action
-//                        bytes, sent/delivered word rows): the incremental
-//                        checkpoint. Replaying deltas from the last full
+//   DELTA (2)            one completed round's planes (u32 round index,
+//                        u32 n, then encode_round_planes from
+//                        net/serialize.hpp): the incremental checkpoint.
+//                        Replaying deltas from the last full
 //                        checkpoint is pinned byte-identical to having run
 //                        the rounds, because the engine is deterministic
 //                        (paper §3) — recover_run() verifies every replayed
 //                        round against its logged delta and refuses to
 //                        return a diverging instance.
-//   INTENT (3)           the write-ahead log of a round in flight: the
-//                        staged actions plus the pattern's drop rows for the
-//                        round, appended (and fsynced) after the adversary
-//                        hook ran but before any message moves. A crash
+//   INTENT (3)           the write-ahead log of a round in flight: u32
+//                        round index, u32 n, the staged action bytes, then
+//                        the pattern's send- and receive-drop plane rows
+//                        for the round, appended (and fsynced) after the
+//                        adversary hook ran but before any message moves.
+//                        A crash
 //                        between intent and delta recovers by re-running the
 //                        round from replayed state and checking the realized
 //                        actions/drops against the intent — this is what
@@ -146,6 +149,15 @@ template <ExchangeProtocol X, class P>
   RecoveredRun<X, P> out{std::move(stepper), 0, false};
   std::optional<IntentPayload> pending;
 
+  // Each DELTA/INTENT carries its own population; one that differs from the
+  // restored instance's would index the planes out of bounds below.
+  const auto check_population = [&](std::size_t n, const char* what) {
+    if (n != static_cast<std::size_t>(out.stepper.n()))
+      throw DecodeError(Kind::malformed,
+                        std::string("run log ") + what +
+                            " population differs from the restored instance");
+  };
+
   const auto check_round_planes = [&](const DeltaPayload& delta) {
     const RunRecord& rec = out.stepper.record();
     const std::size_t um = static_cast<std::size_t>(delta.round);
@@ -165,6 +177,7 @@ template <ExchangeProtocol X, class P>
                           "checkpoint after the chosen recovery root");
       case kRunLogDelta: {
         const DeltaPayload delta = decode_delta(r);
+        check_population(delta.actions.size(), "delta");
         if (delta.round != out.stepper.time())
           throw DecodeError(Kind::malformed,
                             "run log delta out of order at round " +
@@ -207,6 +220,7 @@ template <ExchangeProtocol X, class P>
           throw DecodeError(Kind::malformed,
                             "two intents with no delta between them");
         IntentPayload intent = decode_intent(r);
+        check_population(intent.actions.size(), "intent");
         if (intent.round != out.stepper.time())
           throw DecodeError(Kind::malformed,
                             "run log intent out of order at round " +

@@ -16,6 +16,7 @@
 #include "net/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
+#include "store/run_log.hpp"
 
 namespace eba {
 namespace {
@@ -182,6 +183,64 @@ TEST(SerializeFuzzTest, StateDecodersNeverEscape) {
         decode_state(r, s);
       },
       "fip-state");
+}
+
+TEST(SerializeFuzzTest, RunLogDecodersNeverEscape) {
+  // DELTA and INTENT payloads are read back from journal bytes on disk.
+  Rng rng(73);
+  const FailurePattern alpha = sample_go_adversary(5, 2, 4, 0.4, 0.3, rng);
+  const auto run = simulate(MinExchange(5), PMin(5, 2), alpha,
+                            sample_preferences(5, rng), 2);
+  ASSERT_GE(run.record.rounds, 1);
+
+  const DeltaPayload delta = delta_of_record(run.record, 0);
+  Writer wd;
+  encode_delta(wd, delta);
+  const Bytes delta_bytes = wd.take();
+  {
+    Reader r(delta_bytes);
+    const DeltaPayload back = decode_delta(r);
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(back.round, 0);
+    EXPECT_EQ(back.actions, delta.actions) << "delta round-trip";
+    EXPECT_EQ(back.sent, delta.sent) << "delta round-trip";
+    EXPECT_EQ(back.delivered, delta.delivered) << "delta round-trip";
+  }
+  fuzz_decoder(
+      delta_bytes,
+      [](const Bytes& b) {
+        Reader r(b);
+        (void)decode_delta(r);
+      },
+      "delta");
+
+  IntentPayload intent;
+  intent.round = 0;
+  intent.actions = run.record.actions[0];
+  for (AgentId i = 0; i < 5; ++i) {
+    intent.dropped_send.push_back(alpha.dropped(0, i));
+    intent.dropped_receive.push_back(alpha.dropped_receive(0, i));
+  }
+  Writer wi;
+  encode_intent(wi, intent);
+  const Bytes intent_bytes = wi.take();
+  {
+    Reader r(intent_bytes);
+    const IntentPayload back = decode_intent(r);
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(back.round, 0);
+    EXPECT_EQ(back.actions, intent.actions) << "intent round-trip";
+    EXPECT_EQ(back.dropped_send, intent.dropped_send) << "intent round-trip";
+    EXPECT_EQ(back.dropped_receive, intent.dropped_receive)
+        << "intent round-trip";
+  }
+  fuzz_decoder(
+      intent_bytes,
+      [](const Bytes& b) {
+        Reader r(b);
+        (void)decode_intent(r);
+      },
+      "intent");
 }
 
 TEST(SerializeFuzzTest, FrameLengthCannotOverread) {

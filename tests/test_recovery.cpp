@@ -26,6 +26,8 @@
 #include "sim/adaptive.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
+#include "store/run_log.hpp"
+#include "store/vfs.hpp"
 
 namespace eba {
 namespace {
@@ -252,6 +254,61 @@ TEST(TraceFileTest, TruncatedHorizonRunVerifiesWithoutDecision) {
   const ReplayReport report = replay_verify(trace);
   EXPECT_TRUE(report.ok) << report.summary();
   EXPECT_FALSE(report.complete);
+}
+
+// -- Golden bytes ------------------------------------------------------------
+
+/// Every durable format, CRC32-pinned over one fixed seeded run. A codec
+/// refactor that moves a single byte of a record, checkpoint, trace, run-log
+/// payload or manifest fails here, whatever its round-trip tests say.
+TEST(GoldenBytesTest, DurableFormatsAreByteStable) {
+  const int n = 5, t = 2;
+  const FipExchange x(n);
+  const POptGo p(n, t);
+  const FailurePattern alpha = seeded_pattern(n, t, FailureModel::general, 92);
+  const std::vector<Value> prefs = seeded_prefs(n, 93);
+  const RunRecord record = simulate(x, p, alpha, prefs, t).record;
+  ASSERT_EQ(record.rounds, 3);
+
+  const auto expect_pinned = [](const Bytes& bytes, std::size_t size,
+                                std::uint32_t crc, const char* what) {
+    EXPECT_EQ(bytes.size(), size) << what;
+    EXPECT_EQ(crc32(bytes), crc) << what << ": crc 0x" << std::hex
+                                 << crc32(bytes);
+  };
+
+  Writer wr;
+  encode_record(wr, record);
+  expect_pinned(wr.take(), 63, 0x24c1de61u, "encode_record");
+
+  Stepper<FipExchange, POptGo> stepper(x, p, alpha, prefs, t);
+  ASSERT_TRUE(stepper.step());
+  ASSERT_TRUE(stepper.step());
+  expect_pinned(checkpoint_stepper(stepper, "adv"), 343, 0x44df2266u,
+                "checkpoint_stepper");
+
+  expect_pinned(write_trace(record, 5), 245, 0x88633909u, "write_trace");
+  expect_pinned(write_trace(record, 5, 0xC0FFEEull), 253, 0x3b950370u,
+                "write_trace keyed");
+
+  Writer wd;
+  encode_delta(wd, delta_of_record(record, 1));
+  expect_pinned(wd.take(), 23, 0x5d8d3747u, "encode_delta");
+
+  IntentPayload intent;
+  intent.round = 1;
+  intent.actions = record.actions[1];
+  for (AgentId i = 0; i < n; ++i) {
+    intent.dropped_send.push_back(alpha.dropped(1, i));
+    intent.dropped_receive.push_back(alpha.dropped_receive(1, i));
+  }
+  Writer wi;
+  encode_intent(wi, intent);
+  expect_pinned(wi.take(), 23, 0x001f5f41u, "encode_intent");
+
+  MemVfs vfs;
+  { RunLog log = RunLog::create(vfs, "gold"); }
+  expect_pinned(vfs.read("gold/MANIFEST"), 49, 0xe49d4923u, "EBMF manifest");
 }
 
 // -- Checkpoint/restore ------------------------------------------------------

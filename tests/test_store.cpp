@@ -1,6 +1,5 @@
 // Durable storage engine suite (src/store/): the fault-injecting VFS, the
-// torn-write-safe journal, keyed digests, file-backed traces, and run-log
-// recovery.
+// torn-write-safe journal, keyed digests and traces, and run-log recovery.
 //
 // The adversary here is the power cut. Every test drives real injected
 // faults through MemVfs — tears at every byte offset of the final page,
@@ -24,7 +23,6 @@
 #include "net/checkpoint.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
-#include "store/file_trace.hpp"
 #include "store/journal.hpp"
 #include "store/run_log.hpp"
 #include "store/vfs.hpp"
@@ -555,61 +553,6 @@ TEST(KeyedCertificateTest, WrongKeyFailsVerificationBothWays) {
   EXPECT_EQ(plain, build_certificate(run.record, 3, 0));
 }
 
-// -- File-backed traces ------------------------------------------------------
-
-TEST(FileTraceTest, OnDiskBytesPinnedToInMemoryWriter) {
-  const auto run = small_run(5, 2, 19);
-  const RunRecord& rec = run.record;
-  MemVfs vfs;
-  FileTraceWriter w(vfs, "t/trace.ebtr", 42, rec.n, rec.t, rec.nonfaulty,
-                    rec.inits);
-  for (int m = 0; m < rec.rounds; ++m) {
-    const std::size_t um = static_cast<std::size_t>(m);
-    w.add_round(rec.actions[um], rec.sent[um], rec.delivered[um]);
-  }
-  const Bytes out = w.finish(build_certificate(rec, 42));
-  EXPECT_EQ(out, write_trace(rec, 42)) << "streamed != one-shot";
-  EXPECT_EQ(vfs.read("t/trace.ebtr"), out) << "disk bytes diverge";
-  // finish() fsyncs: the complete trace survives a power cut. (The name
-  // itself needs the caller's sync_dir, so sync it first.)
-  vfs.sync_dir("t/");
-  vfs.power_cut("t/");
-  EXPECT_EQ(vfs.read("t/trace.ebtr"), out);
-  EXPECT_TRUE(replay_verify(vfs.read("t/trace.ebtr")).ok);
-}
-
-TEST(FileTraceTest, WriterCrashLeavesADetectablePrefix) {
-  const auto run = small_run(4, 1, 23);
-  const RunRecord& rec = run.record;
-  MemVfs vfs;
-  FileTraceWriter w(vfs, "t/trace.ebtr", 1, rec.n, rec.t, rec.nonfaulty,
-                    rec.inits);
-  w.add_record_rounds(rec);
-  // No finish(): the writer "crashed". The on-disk prefix parses as an
-  // unterminated container — a typed rejection, not an accepted trace.
-  const Bytes partial = vfs.read("t/trace.ebtr");
-  ASSERT_FALSE(partial.empty());
-  try {
-    (void)read_trace(partial);
-    FAIL() << "unterminated streamed trace accepted";
-  } catch (const DecodeError& e) {
-    EXPECT_EQ(e.kind(), Kind::missing_frame);
-  }
-}
-
-TEST(FileTraceTest, KeyedStreamingMatchesKeyedOneShot) {
-  const auto run = small_run(4, 1, 29);
-  const RunRecord& rec = run.record;
-  const std::uint64_t key = 0xBEE5ull;
-  MemVfs vfs;
-  FileTraceWriter w(vfs, "t/k.ebtr", 7, rec.n, rec.t, rec.nonfaulty, rec.inits,
-                    key);
-  w.add_record_rounds(rec);
-  const Bytes out = w.finish(build_certificate(rec, 7, key));
-  EXPECT_EQ(out, write_trace(rec, 7, key));
-  EXPECT_TRUE(replay_verify(vfs.read("t/k.ebtr"), key).ok);
-}
-
 // -- DiskVfs -----------------------------------------------------------------
 
 TEST(DiskVfsTest, JournalRoundtripOnTheRealFilesystem) {
@@ -800,6 +743,41 @@ TEST(RunLogTest, DivergentDeltaAndForgedIntentRejected) {
     (void)recover_run<MinExchange, PMin>(fx.x, fx.p,
                                          log.journal().records());
     FAIL() << "forged intent accepted";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.kind(), Kind::malformed);
+  }
+}
+
+TEST(RunLogTest, RecordPopulationMustMatchTheRestoredInstance) {
+  // DELTA and INTENT records carry their own n. A matching pair for a
+  // smaller population must be refused, not cross-checked against the
+  // restored n=4 instance's planes (which would read past their rows).
+  const int n = 4, t = 1;
+  const MinExchange x(n);
+  const PMin p(n, t);
+  MemVfs vfs;
+  {
+    RunLog log = RunLog::create(vfs, "pop");
+    Stepper<MinExchange, PMin> stepper(x, p, FailurePattern::failure_free(n),
+                                       std::vector<Value>(n, Value::one), t);
+    log.log_checkpoint(checkpoint_stepper(stepper));
+    IntentPayload intent;
+    intent.round = 0;
+    intent.actions = {Action::noop()};
+    intent.dropped_send = {AgentSet{}};
+    intent.dropped_receive = {AgentSet{}};
+    log.log_intent(intent);
+    DeltaPayload delta;
+    delta.round = 0;
+    delta.actions = {Action::noop()};
+    delta.sent = {AgentSet{}};
+    delta.delivered = {AgentSet{}};
+    log.log_delta(delta);
+  }
+  RunLog log = RunLog::open(vfs, "pop");
+  try {
+    (void)recover_run<MinExchange, PMin>(x, p, log.journal().records());
+    FAIL() << "run log records for another population accepted";
   } catch (const DecodeError& e) {
     EXPECT_EQ(e.kind(), Kind::malformed);
   }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "action/p_basic.hpp"
 #include "action/p_min.hpp"
@@ -132,6 +133,32 @@ TEST(StepperEquivalence, EarlyDecideStopsLikeSeed) {
                                   FailurePattern::failure_free(n), prefs, t,
                                   SimulateOptions{}, "early-decide");
 }
+
+// The stepper borrows its exchange and action protocol, so temporaries
+// (which would dangle once the declaration ends) must not compile, on
+// either constructor; lvalues must.
+using MinStepper = Stepper<MinExchange, PMin>;
+static_assert(std::is_constructible_v<MinStepper, const MinExchange&,
+                                      const PMin&, FailurePattern,
+                                      std::vector<Value>, int>);
+static_assert(!std::is_constructible_v<MinStepper, MinExchange, const PMin&,
+                                       FailurePattern, std::vector<Value>,
+                                       int>);
+static_assert(!std::is_constructible_v<MinStepper, const MinExchange&, PMin,
+                                       FailurePattern, std::vector<Value>,
+                                       int>);
+static_assert(!std::is_constructible_v<MinStepper, MinExchange, PMin,
+                                       FailurePattern, std::vector<Value>,
+                                       int>);
+static_assert(std::is_constructible_v<MinStepper, const MinExchange&,
+                                      const PMin&, FailurePattern,
+                                      ResumePoint<MinExchange>&&, int>);
+static_assert(!std::is_constructible_v<MinStepper, MinExchange, const PMin&,
+                                       FailurePattern,
+                                       ResumePoint<MinExchange>&&, int>);
+static_assert(!std::is_constructible_v<MinStepper, const MinExchange&, PMin,
+                                       FailurePattern,
+                                       ResumePoint<MinExchange>&&, int>);
 
 TEST(StepperTest, UndecidedCounterTracksDecisions) {
   const int n = 4;
