@@ -159,9 +159,12 @@ class FipExchange {
 
 }  // namespace eba
 
+// Deliberately not noexcept: libstdc++ then stores each node's hash code in
+// unordered containers keyed on FipState, so bucket walks and rehashes
+// compare cached codes instead of rehashing whole communication graphs.
 template <>
 struct std::hash<eba::FipState> {
-  std::size_t operator()(const eba::FipState& s) const noexcept {
+  std::size_t operator()(const eba::FipState& s) const {
     return eba::hash_value(s);
   }
 };

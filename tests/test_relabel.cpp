@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "action/p_basic.hpp"
@@ -231,34 +233,74 @@ TEST(AddAllRuns, RelabelPathIsBitIdenticalToResimulation) {
   expect_same_system(FipExchange(3), POptGo(3, 1), 1, 3, go_config(3, 1, 1));
 }
 
+/// Σ over times 0..horizon-1 of the distinct FIP local states of the context
+/// — the per-round class counts summed over agents, since a FIP state
+/// carries its time and owner. FIP states do not depend on the action
+/// protocol (paper §7), so any protocol's runs give them.
+std::size_t fip_state_classes(const CanonicalContext& ctx, int n, int t,
+                              int horizon) {
+  SimulateOptions opt;
+  opt.max_rounds = horizon;
+  opt.stop_when_all_decided = false;
+  std::vector<std::unordered_set<FipState>> distinct(
+      static_cast<std::size_t>(horizon));
+  for (const auto& [alpha, prefs] : ctx.worlds) {
+    const auto run = simulate(FipExchange(n), POpt(n, t), alpha, prefs, t, opt);
+    for (int m = 0; m < horizon; ++m)
+      for (const FipState& s : run.states[static_cast<std::size_t>(m)])
+        distinct[static_cast<std::size_t>(m)].insert(s);
+  }
+  std::size_t total = 0;
+  for (const auto& d : distinct) total += d.size();
+  return total;
+}
+
 TEST(Synthesizer, OrbitReuseMatchesPlainRun) {
   struct Case {
     int n;
     int t;
     KbpProgram program;
     int horizon;
+    int workers;
   };
-  for (const Case c : {Case{4, 1, KbpProgram::p0, 3},
-                       Case{3, 1, KbpProgram::p1, 3}}) {
+  // The last two rows are the benchmark's shape (γ_fip P1 with orbit
+  // reuse) at n = 4, sequential and pooled.
+  for (const Case c : {Case{4, 1, KbpProgram::p0, 3, 0},
+                       Case{3, 1, KbpProgram::p1, 3, 0},
+                       Case{4, 1, KbpProgram::p1, 3, 1},
+                       Case{4, 1, KbpProgram::p1, 3, 4}}) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " p"
+                                    << (c.program == KbpProgram::p1)
+                                    << " workers=" << c.workers);
     const EnumerationConfig cfg{.n = c.n, .t = c.t, .rounds = 2};
     const CanonicalContext ctx = canonical_context_worlds(cfg);
     ASSERT_EQ(ctx.worlds.size(),
               count_adversaries(cfg) * (std::uint64_t{1} << c.n));
     ASSERT_EQ(ctx.orbits.size(), ctx.worlds.size());
     EXPECT_LT(ctx.representatives, ctx.worlds.size());
+    // Members outnumber their distinct renamings, so the synthesizer's
+    // one-Renaming-per-permutation table is shared, not one per member.
+    std::size_t members = 0;
+    std::set<std::vector<AgentId>> perms;
+    for (std::size_t w = 0; w < ctx.orbits.size(); ++w)
+      if (ctx.orbits[w].rep != w) {
+        ++members;
+        perms.insert(ctx.orbits[w].perm);
+      }
+    EXPECT_LT(perms.size(), members);
 
-    KbpSynthesizer<FipExchange> plain(FipExchange(c.n), c.t, c.program);
+    const SynthesisOptions opt{.workers = c.workers};
+    KbpSynthesizer<FipExchange> plain(FipExchange(c.n), c.t, c.program, opt);
     const auto expected = plain.run(ctx.worlds, c.horizon);
-    KbpSynthesizer<FipExchange> reuse(FipExchange(c.n), c.t, c.program);
+    KbpSynthesizer<FipExchange> reuse(FipExchange(c.n), c.t, c.program, opt);
     const auto actual = reuse.run(ctx.worlds, c.horizon, ctx.orbits);
 
     EXPECT_EQ(actual.decisions, expected.decisions);
-    EXPECT_EQ(actual.table.size(), expected.table.size());
-    for (const auto& [state, action] : expected.table) {
-      const auto it = actual.table.find(state);
-      ASSERT_NE(it, actual.table.end());
-      EXPECT_TRUE(it->second == action);
-    }
+    EXPECT_EQ(actual.table, expected.table);
+    // One table entry per (round, agent, class): nothing recorded twice,
+    // no class missed.
+    EXPECT_EQ(actual.table.size(),
+              fip_state_classes(ctx, c.n, c.t, c.horizon));
     EXPECT_LT(actual.stats.evaluated_rounds, expected.stats.evaluated_rounds);
   }
 }

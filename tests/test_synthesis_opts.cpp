@@ -3,10 +3,13 @@
 // with and without world dedup, class/component memoization, and
 // parallelism; (b) the optimized synthesizer re-derives the paper's
 // protocols at n = 5 (Thm 6.5/6.6 beyond the seed's n <= 4 ceiling) and in
-// a γ_fip context at n = 4.
+// a γ_fip context at n = 4; (c) the hash-once class grouping behind every
+// round partitions states exactly, even when every hash collides.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "action/p_basic.hpp"
@@ -77,6 +80,49 @@ void expect_invariant_under_options(X x, int t, KbpProgram program,
       EXPECT_LT(result.stats.evaluated_rounds, result.stats.world_rounds)
           << name << ": dedup found no duplicate joint signatures";
     }
+  }
+}
+
+// group_equal_states (the grouping inside build_classes) over the FIP states
+// of the γ_fip(4, 1) context at times 0..3: with the real hashes, and with
+// one hash for every state — so every lookup walks a single chain of all
+// classes and only operator== separates them — the partition and its
+// first-occurrence numbering equal a reference unordered_map grouping.
+TEST(SynthesisClasses, GroupingMatchesReferenceUnderCollisions) {
+  const int n = 4;
+  const int t = 1;
+  const int horizon = 3;
+  SimulateOptions opt;
+  opt.max_rounds = horizon;
+  opt.stop_when_all_decided = false;
+  std::vector<std::vector<FipState>> at_time(horizon + 1);
+  for (const auto& [alpha, prefs] : all_worlds({.n = n, .t = t, .rounds = 2})) {
+    const auto run = simulate(FipExchange(n), POpt(n, t), alpha, prefs, t, opt);
+    ASSERT_EQ(run.states.size(), at_time.size());
+    for (int m = 0; m <= horizon; ++m)
+      for (const FipState& s : run.states[static_cast<std::size_t>(m)])
+        at_time[static_cast<std::size_t>(m)].push_back(s);
+  }
+  for (int m = 0; m <= horizon; ++m) {
+    const std::vector<FipState>& states = at_time[static_cast<std::size_t>(m)];
+    std::unordered_map<FipState, int> ids;
+    std::vector<int> want;
+    for (const FipState& s : states)
+      want.push_back(
+          ids.try_emplace(s, static_cast<int>(ids.size())).first->second);
+    std::vector<std::size_t> real;
+    for (const FipState& s : states) real.push_back(std::hash<FipState>{}(s));
+    std::vector<std::size_t> colliding(states.size(), real.front());
+    auto state_at = [&](std::size_t k) -> const FipState& { return states[k]; };
+    for (const auto* hashes : {&real, &colliding}) {
+      std::vector<int> got(states.size(), -1);
+      EXPECT_EQ(group_equal_states(*hashes, state_at, got),
+                static_cast<int>(ids.size()))
+          << "time " << m;
+      EXPECT_EQ(got, want) << "time " << m;
+    }
+    EXPECT_GT(ids.size(), 1u) << "time " << m;
+    EXPECT_LT(ids.size(), states.size()) << "time " << m;
   }
 }
 
