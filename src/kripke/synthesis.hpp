@@ -34,6 +34,13 @@
 //     evaluation — and the per-world state advance — fans out over the
 //     shared worker pool of net/pool.hpp (`workers`).
 //
+// Worlds advance through sim/stepper.hpp's run_round, the one in-memory
+// round the Stepper also runs: the exchange's own fast paths apply (E_fip's
+// one graph union per received set), non-broadcast µ is evaluated per
+// destination, and the table is keyed on exactly the states simulate()
+// reaches — tests/test_synthesis_opts.cpp replays every world through the
+// synthesized table to pin this.
+//
 // Bookkeeping around the tests is kept to one pass per state, under every
 // option combination:
 //
@@ -724,44 +731,20 @@ class KbpSynthesizer {
         });
   }
 
+  /// Advances every evaluated world one round through run_round, the same
+  /// round the Stepper runs; the round's traffic is not needed here.
   void advance_round(const std::vector<World>& worlds, int m) {
     const int n = x_.n();
-    using Message = typename X::Message;
     const std::size_t count = orbits_ ? orbit_reps_.size() : worlds.size();
-    parallel_for(
-        opt_.workers, count, kGrain,
-        [&](std::size_t begin, std::size_t end) {
-          // Chunk-local scratch: reset per world instead of reallocated.
-          std::vector<std::optional<Message>> outgoing(
-              static_cast<std::size_t>(n));
-          std::vector<std::vector<std::optional<Message>>> inbox(
-              static_cast<std::size_t>(n),
-              std::vector<std::optional<Message>>(static_cast<std::size_t>(n)));
-          for (std::size_t e = begin; e < end; ++e) {
-            const std::size_t w = orbits_ ? orbit_reps_[e] : e;
-            const FailurePattern& alpha = worlds[w].first;
-            for (AgentId i = 0; i < n; ++i)
-              for (AgentId j = 0; j < n; ++j)
-                inbox[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]
-                    .reset();
-            for (AgentId i = 0; i < n; ++i)
-              outgoing[static_cast<std::size_t>(i)] =
-                  x_.message(states_[w][static_cast<std::size_t>(i)],
-                             actions_[w][static_cast<std::size_t>(i)], 0);
-            for (AgentId i = 0; i < n; ++i) {
-              if (!outgoing[static_cast<std::size_t>(i)]) continue;
-              for (AgentId j = 0; j < n; ++j)
-                if (alpha.delivered(m, i, j))
-                  inbox[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-                      outgoing[static_cast<std::size_t>(i)];
-            }
-            for (AgentId i = 0; i < n; ++i)
-              x_.update(states_[w][static_cast<std::size_t>(i)],
-                        actions_[w][static_cast<std::size_t>(i)],
-                        std::span<const std::optional<Message>>(
-                            inbox[static_cast<std::size_t>(i)]));
-          }
-        });
+    parallel_for(opt_.workers, count, kGrain,
+                 [&](std::size_t begin, std::size_t end) {
+                   for (std::size_t e = begin; e < end; ++e) {
+                     const std::size_t w = orbits_ ? orbit_reps_[e] : e;
+                     run_round(x_, std::span<State>(states_[w]),
+                               std::span<const Action>(actions_[w]),
+                               worlds[w].first, m);
+                   }
+                 });
     // Member states are the renamed representative states — one relabel
     // per agent instead of a message exchange + update per world.
     if (orbits_) {

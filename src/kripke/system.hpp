@@ -64,10 +64,7 @@ class InterpretedSystem {
   /// Adds the unique run generated by (alpha, inits).
   void add_run(const FailurePattern& alpha, const std::vector<Value>& inits) {
     EBA_REQUIRE(!finalized_, "system already finalized");
-    SimulateOptions opt;
-    opt.max_rounds = horizon_;
-    opt.stop_when_all_decided = false;
-    runs_.push_back(simulate(x_, act_, alpha, inits, t_, opt));
+    runs_.push_back(simulate(x_, act_, alpha, inits, t_, full_horizon()));
   }
 
   /// Adds every run of the context: all preference vectors × all
@@ -112,9 +109,6 @@ class InterpretedSystem {
       return;
     }
     const std::size_t nprefs = prefs.size();
-    SimulateOptions sopt;
-    sopt.max_rounds = horizon_;
-    sopt.stop_when_all_decided = false;
     std::vector<std::optional<Run<X>>> base(nprefs);
     std::vector<Renaming> member_rens;
     std::vector<std::vector<AgentId>> member_invs;
@@ -128,7 +122,8 @@ class InterpretedSystem {
           for (std::size_t mask = 0; mask < nprefs; ++mask) {
             const std::uint64_t c = q.classes[q.class_of[mask]].mask;
             if (mask == c)
-              base[mask] = simulate(x_, act_, rep, prefs[mask], t_, sopt);
+              base[mask] =
+                  simulate(x_, act_, rep, prefs[mask], t_, full_horizon());
             else
               base[mask] = relabel_run(*base[static_cast<std::size_t>(c)],
                                        q.sigma[mask]);
@@ -333,6 +328,11 @@ class InterpretedSystem {
   }
 
  private:
+  /// Every run of the system lasts the whole horizon.
+  [[nodiscard]] StepperOptions full_horizon() const {
+    return {.max_rounds = horizon_, .stop_when_all_decided = false};
+  }
+
   X x_;
   P act_;
   int t_;

@@ -94,7 +94,7 @@ class BusPool {
   /// the receivers (excluding `from`) with a non-⊥ payload; delivery is
   /// filtered per (from, to) edge, and a payload addressed to self always
   /// arrives — the semantics of the stepper's per-destination µ loop
-  /// (sim/stepper.hpp generic_round), which the wire path must mirror
+  /// (sim/stepper.hpp run_round), which the wire path must mirror
   /// bit-for-bit.
   [[nodiscard]] RoundResult exchange_round(
       SlotId id, std::vector<std::vector<std::optional<Bytes>>> outbox);

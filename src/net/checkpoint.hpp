@@ -140,11 +140,10 @@ template <ExchangeProtocol X, class P>
                       "checkpoint frame has unconsumed bytes");
   if (adversary_state) *adversary_state = std::move(blob);
 
-  StepperOptions opt;
-  opt.max_rounds = max_rounds;
-  opt.stop_when_all_decided = stop_tag != 0;
-  return Stepper<X, P>(x, act, std::move(alpha), std::move(resume), t, opt,
-                       sink);
+  return Stepper<X, P>(
+      x, act, std::move(alpha), std::move(resume), t,
+      {.max_rounds = max_rounds, .stop_when_all_decided = stop_tag != 0},
+      sink);
 }
 
 }  // namespace eba

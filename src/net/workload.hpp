@@ -266,7 +266,7 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
   } else {
     // Per-destination staging: µ is evaluated once per (sender, receiver)
     // edge and each edge ships its own payload, mirroring the stepper's
-    // per-destination loop (generic_round) — same bit/message accounting
+    // per-destination loop (run_round) — same bit/message accounting
     // (self-addressed payloads are free), same always-delivered self edge.
     std::vector<std::vector<std::optional<Bytes>>> outbox(
         un, std::vector<std::optional<Bytes>>(un));
@@ -646,8 +646,7 @@ WorkloadResult<X> run_workload(const X& x, const P& act,
   result.concurrent_instances = specs.size();
   if (specs.empty()) return result;
 
-  StepperOptions sopt;
-  sopt.max_rounds = opt.max_rounds;
+  const StepperOptions sopt{.max_rounds = opt.max_rounds};
 
   BusPool pool(specs.size());
   std::vector<detail::ManagedInstance<X, P>> instances;
@@ -680,8 +679,7 @@ WorkloadResult<X> run_adaptive_workload(const X& x, const P& act,
   result.concurrent_instances = specs.size();
   if (specs.empty()) return result;
 
-  StepperOptions sopt;
-  sopt.max_rounds = opt.max_rounds;
+  const StepperOptions sopt{.max_rounds = opt.max_rounds};
 
   BusPool pool(specs.size());
   std::vector<detail::ManagedInstance<X, P>> instances;

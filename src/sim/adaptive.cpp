@@ -206,7 +206,7 @@ AdversaryHook make_strategy_hook(AdversaryStrategy& strat, int t) {
 }
 
 AdaptiveDriver make_adaptive_driver(ProtocolKind k, int n, int t,
-                                    AdaptiveRunOptions opt) {
+                                    StepperOptions opt) {
   switch (k) {
     case ProtocolKind::p_min:
       return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {

@@ -98,11 +98,6 @@ struct NamedStrategyFactory {
 [[nodiscard]] AdversaryHook make_strategy_hook(AdversaryStrategy& strat,
                                                int t);
 
-struct AdaptiveRunOptions {
-  int max_rounds = 0;                 ///< 0 = t+4
-  bool stop_when_all_decided = true;
-};
-
 /// What an adaptive run leaves behind: the usual summary plus the pattern
 /// the strategy actually realized (for validity assertions and for
 /// replaying the run as a static adversary).
@@ -111,36 +106,37 @@ struct AdaptiveOutcome {
   FailurePattern realized = FailurePattern::failure_free(1);
 };
 
-/// Bare-Stepper adaptive run (the adaptive analogue of the drivers'
-/// summarize loop).
+/// A stepper over the strategy's base pattern with the strategy's hook
+/// installed.
 template <ExchangeProtocol X, class P>
-AdaptiveOutcome run_adaptive(const X& x, const P& act,
-                             AdversaryStrategy& strat,
-                             const std::vector<Value>& inits, int t,
-                             const AdaptiveRunOptions& opt = {}) {
-  FailurePattern base = strat.base_pattern();
+Stepper<X, P> adaptive_stepper(const X& x, const P& act,
+                               AdversaryStrategy& strat,
+                               const std::vector<Value>& inits, int t,
+                               const StepperOptions& opt,
+                               TraceSink<X>* sink = nullptr) {
+  const FailurePattern base = strat.base_pattern();
   EBA_REQUIRE(base.n() == x.n(), "strategy/exchange agent count mismatch");
   EBA_REQUIRE(strat.model() == FailureModel::sending ? base.in_so(t)
                                                      : base.in_go(t),
               "strategy base pattern outside its model/budget");
-  StepperOptions sopt;
-  sopt.max_rounds = opt.max_rounds;
-  sopt.stop_when_all_decided = opt.stop_when_all_decided;
-  Stepper<X, P> stepper(x, act, std::move(base), inits, t, sopt);
+  Stepper<X, P> stepper(x, act, base, inits, t, opt, sink);
   stepper.set_adversary_hook(make_strategy_hook(strat, t));
+  return stepper;
+}
+
+/// Bare-Stepper adaptive run (the adaptive analogue of the drivers).
+template <ExchangeProtocol X, class P>
+AdaptiveOutcome run_adaptive(const X& x, const P& act,
+                             AdversaryStrategy& strat,
+                             const std::vector<Value>& inits, int t,
+                             const StepperOptions& opt = {}) {
+  Stepper<X, P> stepper = adaptive_stepper(x, act, strat, inits, t, opt);
   while (stepper.step()) {
   }
-
   AdaptiveOutcome out;
   out.realized = stepper.pattern();
-  out.summary.n = x.n();
-  out.summary.rounds = stepper.time();
-  out.summary.bits_sent = stepper.bits_sent();
-  out.summary.messages_sent = stepper.messages_sent();
-  out.summary.record = stepper.take_record();
-  out.summary.decisions.reserve(static_cast<std::size_t>(out.summary.n));
-  for (AgentId i = 0; i < out.summary.n; ++i)
-    out.summary.decisions.push_back(out.summary.record.decision(i));
+  out.summary = summarize(stepper.take_record(), stepper.bits_sent(),
+                          stepper.messages_sent());
   return out;
 }
 
@@ -149,25 +145,13 @@ AdaptiveOutcome run_adaptive(const X& x, const P& act,
 template <ExchangeProtocol X, class P>
 Run<X> simulate_adaptive(const X& x, const P& act, AdversaryStrategy& strat,
                          const std::vector<Value>& inits, int t,
-                         const SimulateOptions& opt = {},
+                         const StepperOptions& opt = {},
                          FailurePattern* realized = nullptr) {
-  FailurePattern base = strat.base_pattern();
-  EBA_REQUIRE(base.n() == x.n(), "strategy/exchange agent count mismatch");
-  StepperOptions sopt;
-  sopt.max_rounds = opt.max_rounds;
-  sopt.stop_when_all_decided = opt.stop_when_all_decided;
   MaterializingSink<X> sink;
-  Stepper<X, P> stepper(x, act, std::move(base), inits, t, sopt, &sink);
-  stepper.set_adversary_hook(make_strategy_hook(strat, t));
-  while (stepper.step()) {
-  }
+  Stepper<X, P> stepper =
+      adaptive_stepper(x, act, strat, inits, t, opt, &sink);
+  Run<X> run = run_to_end(stepper, sink);
   if (realized) *realized = stepper.pattern();
-
-  Run<X> run;
-  run.bits_sent = stepper.bits_sent();
-  run.messages_sent = stepper.messages_sent();
-  run.record = stepper.take_record();
-  run.states = std::move(sink.states());
   return run;
 }
 
@@ -178,6 +162,6 @@ using AdaptiveDriver =
 
 [[nodiscard]] AdaptiveDriver make_adaptive_driver(ProtocolKind k, int n,
                                                   int t,
-                                                  AdaptiveRunOptions opt = {});
+                                                  StepperOptions opt = {});
 
 }  // namespace eba

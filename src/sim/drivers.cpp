@@ -30,83 +30,85 @@ int RunSummary::round_of(AgentId i) const {
   return d ? d->round : -1;
 }
 
+RunSummary summarize(RunRecord record, std::size_t bits_sent,
+                     std::size_t messages_sent) {
+  RunSummary s;
+  s.n = record.n;
+  s.rounds = record.rounds;
+  s.bits_sent = bits_sent;
+  s.messages_sent = messages_sent;
+  s.decisions.reserve(static_cast<std::size_t>(s.n));
+  for (AgentId i = 0; i < s.n; ++i) s.decisions.push_back(record.decision(i));
+  s.record = std::move(record);
+  return s;
+}
+
 namespace {
 
 template <class X, class P>
-RunSummary summarize(const X& x, const P& p, const FailurePattern& alpha,
-                     const std::vector<Value>& inits, int t,
-                     const DriveOptions& opt) {
+RunSummary drive(const X& x, const P& p, const FailurePattern& alpha,
+                 const std::vector<Value>& inits, int t, int max_rounds) {
   // A bare stepper: the drivers never read intermediate states, so the run
   // advances in place with no per-round state materialization.
-  StepperOptions sopt;
-  sopt.max_rounds = opt.max_rounds;
-  Stepper<X, P> stepper(x, p, alpha, inits, t, sopt);
+  Stepper<X, P> stepper(x, p, alpha, inits, t, {.max_rounds = max_rounds});
   while (stepper.step()) {
   }
-  RunSummary s;
-  s.n = x.n();
-  s.rounds = stepper.time();
-  s.bits_sent = stepper.bits_sent();
-  s.messages_sent = stepper.messages_sent();
-  s.record = stepper.take_record();
-  s.decisions.reserve(static_cast<std::size_t>(s.n));
-  for (AgentId i = 0; i < s.n; ++i) s.decisions.push_back(s.record.decision(i));
-  return s;
+  return summarize(stepper.take_record(), stepper.bits_sent(),
+                   stepper.messages_sent());
 }
 
 }  // namespace
 
-RunDriver make_min_driver(int n, int t, DriveOptions opt) {
+RunDriver make_min_driver(int n, int t, int max_rounds) {
   return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(MinExchange(n), PMin(n, t), alpha, inits, t, opt);
+    return drive(MinExchange(n), PMin(n, t), alpha, inits, t, max_rounds);
   };
 }
 
-RunDriver make_basic_driver(int n, int t, DriveOptions opt) {
+RunDriver make_basic_driver(int n, int t, int max_rounds) {
   return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(BasicExchange(n), PBasic(n, t), alpha, inits, t, opt);
+    return drive(BasicExchange(n), PBasic(n, t), alpha, inits, t, max_rounds);
   };
 }
 
-RunDriver make_fip_driver(int n, int t, DriveOptions opt) {
+RunDriver make_fip_driver(int n, int t, int max_rounds) {
   return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(FipExchange(n), POpt(n, t), alpha, inits, t, opt);
+    return drive(FipExchange(n), POpt(n, t), alpha, inits, t, max_rounds);
   };
 }
 
-RunDriver make_fip_p0_driver(int n, int t, DriveOptions opt) {
+RunDriver make_fip_p0_driver(int n, int t, int max_rounds) {
   return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(FipExchange(n),
-                     POpt(n, t, POpt::CommonKnowledge::disabled), alpha, inits,
-                     t, opt);
+    return drive(FipExchange(n), POpt(n, t, POpt::CommonKnowledge::disabled),
+                 alpha, inits, t, max_rounds);
   };
 }
 
-RunDriver make_go_driver(int n, int t, DriveOptions opt) {
+RunDriver make_go_driver(int n, int t, int max_rounds) {
   return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(FipExchange(n), POptGo(n, t), alpha, inits, t, opt);
+    return drive(FipExchange(n), POptGo(n, t), alpha, inits, t, max_rounds);
   };
 }
 
-RunDriver make_go_p0_driver(int n, int t, DriveOptions opt) {
+RunDriver make_go_p0_driver(int n, int t, int max_rounds) {
   return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(FipExchange(n),
-                     POptGo(n, t, POptGo::CommonKnowledge::disabled), alpha,
-                     inits, t, opt);
+    return drive(FipExchange(n),
+                 POptGo(n, t, POptGo::CommonKnowledge::disabled), alpha, inits,
+                 t, max_rounds);
   };
 }
 
-RunDriver make_early_stop_driver(int n, int t, DriveOptions opt) {
+RunDriver make_early_stop_driver(int n, int t, int max_rounds) {
   return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(ReportExchange(n, t), PEarlyStop(n, t), alpha, inits, t,
-                     opt);
+    return drive(ReportExchange(n, t), PEarlyStop(n, t), alpha, inits, t,
+                 max_rounds);
   };
 }
 
-RunDriver make_auth_driver(int n, int t, DriveOptions opt) {
+RunDriver make_auth_driver(int n, int t, int max_rounds) {
   return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(AuthExchange(n, t, kDefaultAuthKey), PAuth(n, t), alpha,
-                     inits, t, opt);
+    return drive(AuthExchange(n, t, kDefaultAuthKey), PAuth(n, t), alpha,
+                 inits, t, max_rounds);
   };
 }
 
@@ -138,33 +140,33 @@ FailureModel model_of(ProtocolKind k) {
              : FailureModel::sending;
 }
 
-RunDriver make_driver(ProtocolKind k, int n, int t, DriveOptions opt) {
+RunDriver make_driver(ProtocolKind k, int n, int t, int max_rounds) {
   switch (k) {
     case ProtocolKind::p_min:
-      return make_min_driver(n, t, opt);
+      return make_min_driver(n, t, max_rounds);
     case ProtocolKind::p_basic:
-      return make_basic_driver(n, t, opt);
+      return make_basic_driver(n, t, max_rounds);
     case ProtocolKind::p_opt:
-      return make_fip_driver(n, t, opt);
+      return make_fip_driver(n, t, max_rounds);
     case ProtocolKind::p_opt_p0:
-      return make_fip_p0_driver(n, t, opt);
+      return make_fip_p0_driver(n, t, max_rounds);
     case ProtocolKind::p_opt_go:
-      return make_go_driver(n, t, opt);
+      return make_go_driver(n, t, max_rounds);
     case ProtocolKind::p_opt_go_p0:
-      return make_go_p0_driver(n, t, opt);
+      return make_go_p0_driver(n, t, max_rounds);
     case ProtocolKind::early_stop:
-      return make_early_stop_driver(n, t, opt);
+      return make_early_stop_driver(n, t, max_rounds);
     case ProtocolKind::authenticated:
-      return make_auth_driver(n, t, opt);
+      return make_auth_driver(n, t, max_rounds);
   }
   EBA_REQUIRE(false, "unknown protocol kind");
   return {};
 }
 
-std::vector<NamedDriver> paper_drivers(int n, int t, DriveOptions opt) {
-  return {{"P_min", make_min_driver(n, t, opt)},
-          {"P_basic", make_basic_driver(n, t, opt)},
-          {"P_fip", make_fip_driver(n, t, opt)}};
+std::vector<NamedDriver> paper_drivers(int n, int t, int max_rounds) {
+  return {{"P_min", make_min_driver(n, t, max_rounds)},
+          {"P_basic", make_basic_driver(n, t, max_rounds)},
+          {"P_fip", make_fip_driver(n, t, max_rounds)}};
 }
 
 }  // namespace eba

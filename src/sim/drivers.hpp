@@ -29,32 +29,35 @@ struct RunSummary {
   [[nodiscard]] int round_of(AgentId i) const;
 };
 
-struct DriveOptions {
-  int max_rounds = 0;  ///< 0 = t+4
-};
+/// The summary of a finished run: decisions are read off `record`, which it
+/// takes over, with the run's wire totals.
+[[nodiscard]] RunSummary summarize(RunRecord record, std::size_t bits_sent,
+                                   std::size_t messages_sent);
 
+/// Drivers run to the horizon `max_rounds` (0 = t+4) and stop early once
+/// every agent has decided.
 using RunDriver =
     std::function<RunSummary(const FailurePattern&, const std::vector<Value>&)>;
 
-RunDriver make_min_driver(int n, int t, DriveOptions opt = {});
-RunDriver make_basic_driver(int n, int t, DriveOptions opt = {});
-RunDriver make_fip_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_min_driver(int n, int t, int max_rounds = 0);
+RunDriver make_basic_driver(int n, int t, int max_rounds = 0);
+RunDriver make_fip_driver(int n, int t, int max_rounds = 0);
 /// Ablation: P0 over the full-information exchange (P_opt with the
 /// common-knowledge lines disabled) — correct but not optimal.
-RunDriver make_fip_p0_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_fip_p0_driver(int n, int t, int max_rounds = 0);
 /// P_opt_go over the full-information exchange — the general-omissions
 /// optimal protocol. Correct on GO(t) patterns (and a fortiori on SO(t)).
-RunDriver make_go_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_go_driver(int n, int t, int max_rounds = 0);
 /// Ablation: the GO evaluation of P0 (P_opt_go with the common-knowledge
 /// lines disabled) — correct in γ_go but not optimal.
-RunDriver make_go_p0_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_go_p0_driver(int n, int t, int max_rounds = 0);
 /// P_es over E_report — the early-stopping baseline, deciding in
 /// min(f+2, t+2) rounds where f is the realized fault count.
-RunDriver make_early_stop_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_early_stop_driver(int n, int t, int max_rounds = 0);
 /// P_auth over E_auth — the signature-authenticated variant of P_es, and
 /// the library's first per-destination (non-broadcast) exchange. The
 /// default master key is fixed; pass another to model key rotation.
-RunDriver make_auth_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_auth_driver(int n, int t, int max_rounds = 0);
 
 /// The shared master key the authenticated driver signs under when the
 /// caller does not supply one.
@@ -83,7 +86,7 @@ enum class ProtocolKind : std::uint8_t {
 
 /// The factory-function drivers above, dispatched on the enum.
 [[nodiscard]] RunDriver make_driver(ProtocolKind k, int n, int t,
-                                    DriveOptions opt = {});
+                                    int max_rounds = 0);
 
 struct NamedDriver {
   std::string name;
@@ -92,6 +95,6 @@ struct NamedDriver {
 
 /// The paper's three protocols, in the order P_min, P_basic, P_fip.
 [[nodiscard]] std::vector<NamedDriver> paper_drivers(int n, int t,
-                                                     DriveOptions opt = {});
+                                                     int max_rounds = 0);
 
 }  // namespace eba

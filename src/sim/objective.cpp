@@ -29,16 +29,6 @@ struct Accumulator {
   }
 };
 
-int last_nonfaulty(const RunRecord& rec) {
-  int worst = 0;
-  for (AgentId i : rec.nonfaulty) {
-    const auto d = rec.decision(i);
-    if (!d) return -1;
-    worst = std::max(worst, d->round);
-  }
-  return worst;
-}
-
 std::size_t suppressed_messages(const RunRecord& rec) {
   std::size_t total = 0;
   for (std::size_t m = 0; m < rec.sent.size(); ++m)
@@ -55,16 +45,16 @@ PatternScore ambiguity_score(const FipExchange& x, const P& act, int t,
                              const FailurePattern& alpha) {
   Accumulator acc;
   for (const auto& pv : prefs) {
-    StepperOptions sopt;
-    sopt.max_rounds = horizon;
-    Stepper<FipExchange, P> st(x, act, alpha, pv, t, sopt);
+    Stepper<FipExchange, P> st(x, act, alpha, pv, t, {.max_rounds = horizon});
     while (st.step()) {
     }
     double amb = 0;
     for (AgentId i : alpha.nonfaulty())
       amb += P::evidence_ambiguity(st.states()[static_cast<std::size_t>(i)],
                                    t);
-    acc.add(amb, last_nonfaulty(st.record()), st.time());
+    const RunSummary s = summarize(st.take_record(), st.bits_sent(),
+                                   st.messages_sent());
+    acc.add(amb, s.last_nonfaulty_round(), s.rounds);
   }
   return acc.out;
 }
@@ -95,8 +85,7 @@ PatternEvaluator make_pattern_evaluator(ObjectiveConfig cfg) {
         };
   }
 
-  RunDriver drive = make_driver(cfg.protocol, cfg.n, cfg.t,
-                                DriveOptions{.max_rounds = horizon});
+  RunDriver drive = make_driver(cfg.protocol, cfg.n, cfg.t, horizon);
   const bool round_objective =
       cfg.objective == SearchObjective::decision_round;
   return [cfg = std::move(cfg), drive = std::move(drive), horizon,

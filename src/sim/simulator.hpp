@@ -34,29 +34,30 @@ struct Run {
   friend bool operator==(const Run&, const Run&) = default;
 };
 
-struct SimulateOptions {
-  int max_rounds = 0;                 ///< 0 = use t+4
-  bool stop_when_all_decided = true;  ///< stop early once every agent decided
-};
+/// simulate() runs a Stepper, so it takes the Stepper's options.
+using SimulateOptions = StepperOptions;
 
+/// Runs a stepper that reports to `sink` to its end and collects the
+/// materialized run.
 template <ExchangeProtocol X, class P>
-Run<X> simulate(const X& x, const P& act, const FailurePattern& alpha,
-                const std::vector<Value>& inits, int t,
-                const SimulateOptions& opt = {}) {
-  StepperOptions sopt;
-  sopt.max_rounds = opt.max_rounds;
-  sopt.stop_when_all_decided = opt.stop_when_all_decided;
-  MaterializingSink<X> sink;
-  Stepper<X, P> stepper(x, act, alpha, inits, t, sopt, &sink);
+Run<X> run_to_end(Stepper<X, P>& stepper, MaterializingSink<X>& sink) {
   while (stepper.step()) {
   }
-
   Run<X> run;
   run.bits_sent = stepper.bits_sent();
   run.messages_sent = stepper.messages_sent();
   run.record = stepper.take_record();
   run.states = std::move(sink.states());
   return run;
+}
+
+template <ExchangeProtocol X, class P>
+Run<X> simulate(const X& x, const P& act, const FailurePattern& alpha,
+                const std::vector<Value>& inits, int t,
+                const StepperOptions& opt = {}) {
+  MaterializingSink<X> sink;
+  Stepper<X, P> stepper(x, act, alpha, inits, t, opt, &sink);
+  return run_to_end(stepper, sink);
 }
 
 }  // namespace eba

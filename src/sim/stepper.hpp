@@ -8,31 +8,35 @@
 // workload engine run the stepper bare, so a run costs O(n) state, not
 // O(rounds · n).
 //
-// The stepper exposes two ways to run a round:
+// A round has three phases: `begin_round()` computes every agent's action
+// and the decide bookkeeping, something moves the messages and applies δ,
+// and the stepper appends the round to the record. The middle phase comes
+// in two forms:
 //
-//  * `step()` — the whole round in memory: actions, µ, adversary
-//    filtering per the instance's failure pattern, δ. This is the §3
-//    semantics verbatim and what `simulate()` uses.
-//  * `begin_round()` / `finish_round()` — the split-phase interface for
-//    external transports: the caller reads the round's actions and states,
-//    moves the messages through a real messaging layer (net/ serializes
-//    them as byte payloads through a bus slot), and hands back the filtered
-//    inboxes plus the sent/delivered logs. One instance = one stepper +
-//    one bus slot in the net-layer workload engine.
+//  * `step()` — `run_round()`, the one in-memory round of the library: µ,
+//    adversary filtering per the instance's failure pattern, δ. This is the
+//    §3 semantics verbatim; `simulate()`, the drivers and KBP synthesis
+//    (kripke/synthesis.hpp) all advance through it.
+//  * `finish_round()` — for external transports: the caller reads the
+//    round's actions and states, moves the messages through a real
+//    messaging layer (net/ serializes them as byte payloads through a bus
+//    slot), and hands back the filtered inboxes plus the sent/delivered
+//    logs. One instance = one stepper + one bus slot in the net-layer
+//    workload engine.
 //
-// Exchanges may opt into two engine fast paths:
+// Exchanges may opt into two fast paths, honoured by both forms:
 //
-//  * `X::kBroadcast` — µ is destination-independent, so the engine computes
+//  * `X::kBroadcast` — µ is destination-independent, so run_round computes
 //    each sender's message once and fans it out. Exchanges without the
-//    marker get a correct per-destination µ loop instead (the seed engine
-//    silently assumed broadcast; see message() docs in exchange.hpp).
+//    marker get a correct per-destination µ loop instead (see message()
+//    docs in exchange.hpp).
 //  * `BorrowedRoundExchange` — the exchange runs δ for the whole round
 //    from borrowed per-sender snapshots plus each receiver's received
 //    set. E_fip groups receivers by received set R, builds the union of
 //    the senders' graphs once per distinct R and copies it into each
 //    receiver's graph storage: Σ_R (|R| − 1) merges a round instead of
 //    one per delivered edge, and no shared_ptr inbox. The same δ serves
-//    step() (snapshots borrowed from the states), the wire path's
+//    run_round (snapshots borrowed from the states), the wire path's
 //    snapshot finish_round() (graphs decoded once per sender; net/
 //    workload.hpp) and the inbox finish_round() (each sender's graph read
 //    through its message).
@@ -68,8 +72,8 @@ struct StagedRound {
 
 /// Online adversary callback, invoked by `Stepper::begin_round()` after the
 /// round's actions are fixed and before any message moves. The hook may add
-/// drops to the instance's pattern at rounds >= staged.round; both the
-/// in-memory round paths and external transports (which must re-read
+/// drops to the instance's pattern at rounds >= staged.round; both
+/// run_round() and external transports (which must re-read
 /// `pattern()` after begin_round — see net/workload.hpp) then filter the
 /// staged messages with the updated pattern. sim/adaptive.hpp wraps
 /// `AdversaryStrategy` objects into hooks and enforces the SO(t)/GO(t)
@@ -179,6 +183,98 @@ struct ResumePoint {
   std::size_t messages_sent = 0;
 };
 
+/// One round's traffic and wire accounting: sent[i] the agents i
+/// addressed a message to (i excluded), delivered[i] the subset the
+/// adversary delivered, and the bits and messages put on the wire.
+struct RoundTraffic {
+  std::vector<AgentSet> sent;
+  std::vector<AgentSet> delivered;
+  std::size_t bits = 0;
+  std::size_t messages = 0;
+};
+
+/// The one in-memory round (paper §3): agents holding `states` perform
+/// `actions`, µ chooses the messages, α filters them at pattern round m and
+/// δ advances `states` in place. Borrowed-round exchanges get their
+/// whole-round δ over snapshots borrowed from the states; otherwise µ runs
+/// once per sender for broadcast exchanges and once per (sender,
+/// destination) for the rest, and δ once per receiver. Stepper::step() and
+/// KbpSynthesizer (kripke/synthesis.hpp) both advance through it.
+template <ExchangeProtocol X>
+RoundTraffic run_round(const X& x, std::span<typename X::State> states,
+                       std::span<const Action> actions,
+                       const FailurePattern& alpha, int m) {
+  using Message = typename X::Message;
+  const int n = x.n();
+  const auto un = static_cast<std::size_t>(n);
+  EBA_REQUIRE(states.size() == un && actions.size() == un,
+              "round size mismatch");
+  RoundTraffic traffic{.sent = std::vector<AgentSet>(un),
+                       .delivered = std::vector<AgentSet>(un)};
+  // The agents α lets sender i's message reach this round, i included.
+  auto reach = [&](AgentId i) {
+    AgentSet r;
+    for (AgentId j = 0; j < n; ++j)
+      if (alpha.delivered(m, i, j)) r.insert(j);
+    return r;
+  };
+  // Logs sender i's broadcast of a `bits`-bit message to everyone else.
+  auto log_broadcast = [&](AgentId i, AgentSet r, std::size_t bits) {
+    const auto ui = static_cast<std::size_t>(i);
+    traffic.sent[ui] = AgentSet::all(n).minus(AgentSet{i});
+    traffic.delivered[ui] = r.minus(AgentSet{i});
+    traffic.bits += (un - 1) * bits;
+    traffic.messages += un - 1;
+  };
+
+  if constexpr (BorrowedRoundExchange<X>) {
+    std::vector<const typename X::Snapshot*> graphs(un);
+    std::vector<AgentSet> received(un);
+    for (AgentId i = 0; i < n; ++i) {
+      const auto ui = static_cast<std::size_t>(i);
+      graphs[ui] = &x.snapshot(states[ui]);
+      const AgentSet r = reach(i);
+      log_broadcast(i, r, x.snapshot_bits(*graphs[ui]));
+      for (AgentId j : r) received[static_cast<std::size_t>(j)].insert(i);
+    }
+    x.update_round(states, actions,
+                   std::span<const typename X::Snapshot* const>(graphs),
+                   received);
+  } else {
+    std::vector<std::vector<std::optional<Message>>> inbox(
+        un, std::vector<std::optional<Message>>(un));
+    for (AgentId i = 0; i < n; ++i) {
+      const auto ui = static_cast<std::size_t>(i);
+      const AgentSet r = reach(i);
+      if constexpr (BroadcastExchange<X>) {
+        const std::optional<Message> out =
+            x.message(states[ui], actions[ui], /*dest=*/0);
+        if (!out) continue;
+        log_broadcast(i, r, x.message_bits(*out));
+        for (AgentId j : r) inbox[static_cast<std::size_t>(j)][ui] = *out;
+      } else {
+        // µ(s, a, self) always reaches its sender and is not wire traffic.
+        for (AgentId j = 0; j < n; ++j) {
+          std::optional<Message> out = x.message(states[ui], actions[ui], j);
+          if (!out) continue;
+          if (j != i) {
+            traffic.sent[ui].insert(j);
+            if (r.contains(j)) traffic.delivered[ui].insert(j);
+            traffic.bits += x.message_bits(*out);
+            traffic.messages += 1;
+          }
+          if (r.contains(j))
+            inbox[static_cast<std::size_t>(j)][ui] = std::move(*out);
+        }
+      }
+    }
+    for (std::size_t j = 0; j < un; ++j)
+      x.update(states[j], actions[j],
+               std::span<const std::optional<Message>>(inbox[j]));
+  }
+  return traffic;
+}
+
 template <ExchangeProtocol X, class P>
 class Stepper {
  public:
@@ -188,32 +284,13 @@ class Stepper {
 
   /// `x` and `act` are borrowed and must outlive the stepper; the pattern
   /// and preferences are copied so an instance owns its inputs (the
-  /// workload engine keeps thousands of steppers alive at once).
-  Stepper(const X& x, const P& act, FailurePattern alpha,
+  /// workload engine keeps thousands of steppers alive at once). A fresh
+  /// instance is the time-0 resume point: every agent's initial state.
+  Stepper(const X& x, const P& act, const FailurePattern& alpha,
           std::vector<Value> inits, int t, const StepperOptions& opt = {},
           TraceSink<X>* sink = nullptr)
-      : x_(&x),
-        act_(&act),
-        alpha_(std::move(alpha)),
-        t_(t),
-        max_rounds_(opt.max_rounds > 0 ? opt.max_rounds : t + 4),
-        stop_when_all_decided_(opt.stop_when_all_decided),
-        sink_(sink),
-        n_(x.n()),
-        undecided_(x.n()),
-        decided_(static_cast<std::size_t>(x.n()), false) {
-    EBA_REQUIRE(alpha_.n() == n_, "pattern/exchange agent count mismatch");
-    EBA_REQUIRE(static_cast<int>(inits.size()) == n_, "inits size mismatch");
-    record_.n = n_;
-    record_.t = t_;
-    record_.inits = std::move(inits);
-    record_.nonfaulty = alpha_.nonfaulty();
-    states_.reserve(static_cast<std::size_t>(n_));
-    for (AgentId i = 0; i < n_; ++i)
-      states_.push_back(
-          x.initial_state(i, record_.inits[static_cast<std::size_t>(i)]));
-    if (sink_) sink_->on_states(0, states_);
-  }
+      : Stepper(x, act, alpha, start_point(x, alpha, std::move(inits), t), t,
+                opt, sink) {}
 
   /// Both constructors borrow `x` and `act`, so a temporary exchange or
   /// action protocol would dangle as soon as the full-expression ends.
@@ -317,14 +394,9 @@ class Stepper {
   /// Runs one full round in memory. Returns false (and does nothing) when
   /// the instance is done.
   bool step() {
-    const std::vector<Action>* actions = begin_round();
-    if (!actions) return false;
-    if constexpr (BorrowedRoundExchange<X>) {
-      borrowed_round();
-    } else {
-      generic_round(*actions);
-    }
-    end_round();
+    if (!begin_round()) return false;
+    complete_round(run_round(*x_, std::span<State>(states_),
+                             std::span<const Action>(actions_), alpha_, time_));
     return true;
   }
 
@@ -398,7 +470,7 @@ class Stepper {
                    actions_[static_cast<std::size_t>(i)],
                    std::span<const std::optional<Message>>(
                        inbox[static_cast<std::size_t>(i)]));
-      complete_round(std::move(sent), std::move(delivered), bits, messages);
+      complete_round({std::move(sent), std::move(delivered), bits, messages});
     }
   }
 
@@ -418,8 +490,13 @@ class Stepper {
     EBA_REQUIRE(static_cast<int>(graphs.size()) == n_ &&
                     static_cast<int>(received.size()) == n_,
                 "round size mismatch");
-    borrowed_delta({graphs.begin(), graphs.end()}, received);
-    complete_round(std::move(sent), std::move(delivered), bits, messages);
+    std::vector<const Snapshot*> own(graphs.begin(), graphs.end());
+    for (std::size_t i = 0; i < own.size(); ++i)
+      if (!own[i]) own[i] = &x_->snapshot(states_[i]);
+    x_->update_round(std::span<State>(states_),
+                     std::span<const Action>(actions_),
+                     std::span<const Snapshot* const>(own), received);
+    complete_round({std::move(sent), std::move(delivered), bits, messages});
   }
 
   /// The record accumulated so far; `record().rounds` is kept in sync after
@@ -435,122 +512,35 @@ class Stepper {
   }
 
  private:
-  void end_round() {
+  /// The time-0 cut of a fresh instance.
+  static ResumePoint<X> start_point(const X& x, const FailurePattern& alpha,
+                                    std::vector<Value> inits, int t) {
+    EBA_REQUIRE(static_cast<int>(inits.size()) == x.n(),
+                "inits size mismatch");
+    ResumePoint<X> start;
+    start.states.reserve(inits.size());
+    for (AgentId i = 0; i < x.n(); ++i)
+      start.states.push_back(
+          x.initial_state(i, inits[static_cast<std::size_t>(i)]));
+    start.record.n = x.n();
+    start.record.t = t;
+    start.record.inits = std::move(inits);
+    start.record.nonfaulty = alpha.nonfaulty();
+    return start;
+  }
+
+  /// Appends the round's traffic and accounting, then closes the round.
+  void complete_round(RoundTraffic round) {
+    bits_sent_ += round.bits;
+    messages_sent_ += round.messages;
+    record_.sent.push_back(std::move(round.sent));
+    record_.delivered.push_back(std::move(round.delivered));
     record_.actions.push_back(std::move(actions_));
     actions_.clear();
     time_ += 1;
     record_.rounds = time_;
     in_round_ = false;
     if (sink_) sink_->on_states(time_, states_);
-  }
-
-  /// §3 round, messages as values: µ per sender (once for broadcast
-  /// exchanges, per destination otherwise), adversary filtering, δ.
-  void generic_round(const std::vector<Action>& actions) {
-    const std::size_t un = static_cast<std::size_t>(n_);
-    std::vector<AgentSet> sent(un);
-    std::vector<AgentSet> delivered(un);
-    inbox_.assign(un, std::vector<std::optional<Message>>(un));
-
-    if constexpr (BroadcastExchange<X>) {
-      for (AgentId i = 0; i < n_; ++i) {
-        std::optional<Message> out = x_->message(
-            states_[static_cast<std::size_t>(i)],
-            actions[static_cast<std::size_t>(i)], /*dest=*/0);
-        if (!out) continue;
-        bits_sent_ +=
-            static_cast<std::size_t>(n_ - 1) * x_->message_bits(*out);
-        messages_sent_ += static_cast<std::size_t>(n_ - 1);
-        sent[static_cast<std::size_t>(i)] =
-            AgentSet::all(n_).minus(AgentSet{i});
-        for (AgentId j = 0; j < n_; ++j) {
-          if (!alpha_.delivered(time_, i, j)) continue;
-          inbox_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-              *out;
-          if (j != i) delivered[static_cast<std::size_t>(i)].insert(j);
-        }
-      }
-    } else {
-      // Per-destination µ: correct for exchanges that address receivers
-      // individually. Self-delivery of µ(s, a, self) always succeeds.
-      for (AgentId i = 0; i < n_; ++i) {
-        for (AgentId j = 0; j < n_; ++j) {
-          std::optional<Message> out = x_->message(
-              states_[static_cast<std::size_t>(i)],
-              actions[static_cast<std::size_t>(i)], /*dest=*/j);
-          if (!out) continue;
-          if (j != i) {
-            bits_sent_ += x_->message_bits(*out);
-            messages_sent_ += 1;
-            sent[static_cast<std::size_t>(i)].insert(j);
-          }
-          if (!alpha_.delivered(time_, i, j)) continue;
-          inbox_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-              std::move(*out);
-          if (j != i) delivered[static_cast<std::size_t>(i)].insert(j);
-        }
-      }
-    }
-
-    for (AgentId i = 0; i < n_; ++i)
-      x_->update(states_[static_cast<std::size_t>(i)],
-                 actions[static_cast<std::size_t>(i)],
-                 std::span<const std::optional<Message>>(
-                     inbox_[static_cast<std::size_t>(i)]));
-    record_.sent.push_back(std::move(sent));
-    record_.delivered.push_back(std::move(delivered));
-  }
-
-  /// Appends an externally moved round's logs and accounting, then closes
-  /// the round.
-  void complete_round(std::vector<AgentSet> sent,
-                      std::vector<AgentSet> delivered, std::size_t bits,
-                      std::size_t messages) {
-    bits_sent_ += bits;
-    messages_sent_ += messages;
-    record_.sent.push_back(std::move(sent));
-    record_.delivered.push_back(std::move(delivered));
-    end_round();
-  }
-
-  /// In-memory round for borrowed-round exchanges (E_fip): the adversary
-  /// filter yields each receiver's sender set, and the exchange's
-  /// whole-round δ borrows every sender's snapshot straight from its state.
-  void borrowed_round()
-    requires BorrowedRoundExchange<X>
-  {
-    const std::size_t un = static_cast<std::size_t>(n_);
-    std::vector<AgentSet> sent(un);
-    std::vector<AgentSet> delivered(un);
-    std::vector<AgentSet> received(un);
-    for (AgentId i = 0; i < n_; ++i) {
-      bits_sent_ += static_cast<std::size_t>(n_ - 1) *
-                    x_->snapshot_bits(
-                        x_->snapshot(states_[static_cast<std::size_t>(i)]));
-      messages_sent_ += static_cast<std::size_t>(n_ - 1);
-      sent[static_cast<std::size_t>(i)] = AgentSet::all(n_).minus(AgentSet{i});
-      for (AgentId j = 0; j < n_; ++j) {
-        if (!alpha_.delivered(time_, i, j)) continue;
-        received[static_cast<std::size_t>(j)].insert(i);
-        if (j != i) delivered[static_cast<std::size_t>(i)].insert(j);
-      }
-    }
-    borrowed_delta(std::vector<const Snapshot*>(un), received);
-    record_.sent.push_back(std::move(sent));
-    record_.delivered.push_back(std::move(delivered));
-  }
-
-  /// The exchange's whole-round δ; a null graphs[i] stands for sender i's
-  /// own state snapshot.
-  void borrowed_delta(std::vector<const Snapshot*> graphs,
-                      std::span<const AgentSet> received)
-    requires BorrowedRoundExchange<X>
-  {
-    for (std::size_t i = 0; i < graphs.size(); ++i)
-      if (!graphs[i]) graphs[i] = &x_->snapshot(states_[i]);
-    x_->update_round(std::span<State>(states_),
-                     std::span<const Action>(actions_),
-                     std::span<const Snapshot* const>(graphs), received);
   }
 
   const X* x_;
@@ -570,8 +560,6 @@ class Stepper {
   std::vector<bool> decided_;
   std::vector<State> states_;
   std::vector<Action> actions_;  ///< the in-flight round's actions
-  /// Reused across rounds to avoid an n² allocation per round.
-  std::vector<std::vector<std::optional<Message>>> inbox_;
   RunRecord record_;
   std::size_t bits_sent_ = 0;
   std::size_t messages_sent_ = 0;

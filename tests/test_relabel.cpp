@@ -119,10 +119,9 @@ TEST(RelabelRun, MatchesResimulationOnAdaptiveRealizedPatterns) {
     for (const auto& factory : shipped_strategies(n, t, model)) {
       const auto strat = factory.make(3);
       const std::vector<Value> prefs = sample_preferences(n, rng);
-      AdaptiveRunOptions aopt;
-      aopt.stop_when_all_decided = false;
-      const AdaptiveOutcome out = run_adaptive(
-          FipExchange(n), POptGo(n, t), *strat, prefs, t, aopt);
+      const AdaptiveOutcome out =
+          run_adaptive(FipExchange(n), POptGo(n, t), *strat, prefs, t,
+                       {.stop_when_all_decided = false});
       // The realized pattern replayed statically must relabel like any
       // other pattern.
       for (const auto& perm : sample_perms(n))

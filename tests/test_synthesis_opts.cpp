@@ -4,7 +4,9 @@
 // parallelism; (b) the optimized synthesizer re-derives the paper's
 // protocols at n = 5 (Thm 6.5/6.6 beyond the seed's n <= 4 ceiling) and in
 // a γ_fip context at n = 4; (c) the hash-once class grouping behind every
-// round partitions states exactly, even when every hash collides.
+// round partitions states exactly, even when every hash collides; (d) the
+// synthesized table, run as an action protocol by simulate(), replays every
+// world: the synthesizer reaches exactly the states the Stepper reaches.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -16,6 +18,7 @@
 #include "action/p_min.hpp"
 #include "action/p_opt.hpp"
 #include "failure/generators.hpp"
+#include "kripke/canonical_worlds.hpp"
 #include "kripke/synthesis.hpp"
 
 namespace eba {
@@ -225,6 +228,80 @@ TEST(SynthesisScale, P1FipContextMatchesPOptAtN4) {
     }
   }
 }
+
+/// A synthesized table run as an action protocol. A state the table does
+/// not know is counted and answered with noop.
+template <class X>
+struct TableProtocol {
+  const std::unordered_map<typename X::State, Action>* table;
+  std::size_t* misses;
+
+  Action operator()(const typename X::State& s) const {
+    const auto it = table->find(s);
+    if (it != table->end()) return it->second;
+    ++*misses;
+    return Action::noop();
+  }
+};
+
+/// Synthesizes `program` over the canonical n = 3, t = 1 context (plain, or
+/// with orbit reuse), then replays every world with simulate() to the same
+/// horizon, the table choosing every action: every lookup must hit and every
+/// decision must equal the synthesizer's.
+template <class X>
+void expect_table_replays(X x, KbpProgram program, bool orbit_reuse) {
+  const int t = 1;
+  const int horizon = 4;
+  const CanonicalContext ctx =
+      canonical_context_worlds({.n = x.n(), .t = t, .rounds = 2});
+  KbpSynthesizer<X> synth(x, t, program);
+  const auto result =
+      orbit_reuse ? synth.run(ctx.worlds, horizon, ctx.orbits)
+                  : synth.run(ctx.worlds, horizon);
+  std::size_t misses = 0;
+  const TableProtocol<X> table{&result.table, &misses};
+  for (std::size_t w = 0; w < ctx.worlds.size(); ++w) {
+    const auto run =
+        simulate(x, table, ctx.worlds[w].first, ctx.worlds[w].second, t,
+                 {.max_rounds = horizon, .stop_when_all_decided = false});
+    ASSERT_EQ(misses, 0u) << "world " << w << " reached an unsynthesized state";
+    for (AgentId i = 0; i < x.n(); ++i)
+      ASSERT_EQ(run.record.decision(i),
+                result.decisions[w][static_cast<std::size_t>(i)])
+          << "world " << w << " agent " << i;
+  }
+}
+
+struct ReplayCase {
+  const char* name;
+  KbpProgram program;
+  bool orbit_reuse;
+
+  friend void PrintTo(const ReplayCase& c, std::ostream* os) { *os << c.name; }
+};
+
+class SynthesisReplay : public testing::TestWithParam<ReplayCase> {};
+
+TEST_P(SynthesisReplay, TableReplaysEveryWorld) {
+  const ReplayCase& c = GetParam();
+  const int n = 3;
+  if (c.program == KbpProgram::p1) {
+    expect_table_replays(FipExchange(n), c.program, c.orbit_reuse);
+  } else {
+    expect_table_replays(MinExchange(n), c.program, c.orbit_reuse);
+    expect_table_replays(BasicExchange(n), c.program, c.orbit_reuse);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Contexts, SynthesisReplay,
+    testing::Values(ReplayCase{"P0MinBasic", KbpProgram::p0, false},
+                    ReplayCase{"P0MinBasicOrbits", KbpProgram::p0, true},
+                    ReplayCase{"P1Fip", KbpProgram::p1, false},
+                    ReplayCase{"P1FipOrbits", KbpProgram::p1, true}),
+    [](const testing::TestParamInfo<ReplayCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace eba
